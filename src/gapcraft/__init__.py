@@ -47,8 +47,6 @@ from .types import (
     Offer,
     PriorityParams,
     ShareVector,
-    capacity_at,
-    validate_config,
 )
 
 __version__ = "0.1.0"
@@ -59,10 +57,10 @@ __all__ = [
     "Offer", "PriorityMix", "PriorityParams", "RateGapper",
     "RequirementVerdict", "RunResult", "Scenario", "ScenarioFile",
     "ShareVector", "StrategyConfig", "StrategyResult", "StreamSpec",
-    "TokenBucket", "TokenBucketRateModel", "build_throttle", "capacity_at",
+    "TokenBucket", "TokenBucketRateModel", "build_throttle",
     "check_req_a", "check_req_b", "check_req_c", "compute_bound_rates",
     "compute_used_capacity", "erlang_b", "estimator_bias", "estimator_peek",
     "estimator_update", "generate_stream", "load_scenario",
     "probe_recovery_times", "run_batch", "run_once", "run_stream",
-    "stream_from_file", "stream_to_file", "survey_recovery", "validate_config",
+    "stream_from_file", "stream_to_file", "survey_recovery",
 ]

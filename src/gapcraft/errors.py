@@ -22,7 +22,7 @@ class NonPositiveTimer(ConfigError):
 
 
 class TimeRegression(GapcraftError):
-    """An event arrived before the state's last event time."""
+    """An event time is not finite or precedes the state's last event time."""
 
 
 class UnknownClass(GapcraftError):

@@ -299,13 +299,12 @@ def export_trace_csv(result: RunResult, path) -> None:
             if res.trace is None:
                 continue
             for idx, rec in enumerate(res.trace):
-                d = rec.diagnostics
                 row = [idx, repr(rec.offer.arrival), rec.offer.class_id,
                        rec.offer.priority, name, rec.verdict.value,
-                       _fmt(d.get("b")), _fmt(d.get("u"))]
-                row += [_fmt(d.get(f"rho_hat_{i}")) for i in range(num_classes)]
-                row += [_fmt(d.get(f"a_hat_{i}")) for i in range(num_classes)]
-                row += [_fmt(d.get(f"g_{i}")) for i in range(num_classes)]
+                       _fmt(rec.b), _fmt(rec.u)]
+                for values in (rec.rho_hat, rec.a_hat, rec.g):
+                    cells = [repr(v) for v in values or ()]
+                    row += cells + [""] * (num_classes - len(cells))
                 writer.writerow(row)
 
 

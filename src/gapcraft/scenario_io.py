@@ -9,10 +9,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import ParseError, SchemaError
+from .errors import ConfigError, ParseError, SchemaError
 from .harness import Scenario, StrategyConfig
 from .traffic import IntensityProfile, PriorityMix, StreamSpec
-from .types import CapacityProfile
+from .types import CapacityProfile, ShareVector
 
 _TOP_KEYS = {"_source", "seed", "replications", "trace", "window_seconds",
              "traffic", "capacity", "strategies", "requirements", "output"}
@@ -50,6 +50,18 @@ def _require(block: dict, key: str, where: str):
     if key not in block:
         raise SchemaError(f"{where}: missing required key {key!r}")
     return block[key]
+
+
+def _shares(raw, num_classes: int, where: str) -> tuple[float, ...]:
+    """One strategy's shares, checked as a ShareVector over the traffic classes."""
+    try:
+        shares = ShareVector(tuple(float(x) for x in raw))
+    except ConfigError as exc:
+        raise SchemaError(f"{where}.shares: {exc}") from exc
+    if len(shares) != num_classes:
+        raise SchemaError(f"{where}.shares: {len(shares)} shares for "
+                          f"{num_classes} traffic classes")
+    return shares.s
 
 
 def parse_scenario_dict(doc: dict) -> ScenarioFile:
@@ -99,7 +111,7 @@ def parse_scenario_dict(doc: dict) -> ScenarioFile:
             kind=str(_require(blk, "kind", where)),
             watermarks=tuple(float(x) for x in blk["watermarks"]) if "watermarks" in blk else None,
             timers=tuple(float(x) for x in blk["timers"]) if "timers" in blk else None,
-            shares=tuple(float(x) for x in blk["shares"]) if "shares" in blk else None,
+            shares=_shares(blk["shares"], len(profiles), where) if "shares" in blk else None,
             variant=str(blk.get("variant", "G")),
             normalize=bool(blk.get("normalize", False)),
             rate_segments=tuple((float(t), float(r)) for t, r in blk["rate_segments"])

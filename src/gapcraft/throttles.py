@@ -3,17 +3,26 @@
 * TokenBucket          -- inverted-fill bucket with per-priority watermarks
 * TokenBucketRateModel -- the bucket rewritten as a rate variable (b = a*T)
 * RateGapper           -- rate-estimation gapping with class fairness
-* MixedGapper          -- gapper admission test relaxed by the bucket fill
+* MixedGapper          -- the RateGapper core plus the bucket relaxation: the
+                          gapper test scaled by the relative fill of a bucket
+                          that drains like TokenBucket's
 
 All throttles expose the same stateful surface: ``decide(offer)`` returns a
 DecisionRecord and commits the state change; ``admit(t, class_id, priority)``
-is the diagnostics-free fast path; ``clone()`` copies the state for what-if
+is the record-free fast path; ``clone()`` copies the state for what-if
 probing.
+
+A DecisionRecord holds the ``offer``, the ``verdict`` and the state the
+decision left behind: the bucket fill ``b``, the used capacity ``u``, and per
+class the offered-rate estimates ``rho_hat``, the provisional admitted rates
+``alpha_hat``, the admitted-rate estimates ``a_hat`` and the bound rates
+``g``.  A field that does not apply to the strategy is None.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from math import inf
+from typing import NamedTuple
 
 from .errors import (
     NonPositiveStep,
@@ -21,16 +30,40 @@ from .errors import (
     UnknownClass,
     UnknownPriority,
 )
+from .estimator import forgetting
 from .types import CapacityProfile, Decision, Offer
 
 _DENOM_EPS = 1e-12
+_VERDICT = (Decision.REJECT, Decision.ADMIT)  # indexed by the admit bool
 
 
-@dataclass(frozen=True, slots=True)
-class DecisionRecord:
+class DecisionRecord(NamedTuple):
+    """One decision and the throttle state it left; see the module docstring."""
+
     offer: Offer
     verdict: Decision
-    diagnostics: dict[str, float] = field(default_factory=dict)
+    b: float | None = None
+    u: float | None = None
+    rho_hat: tuple[float, ...] | None = None
+    alpha_hat: tuple[float, ...] | None = None
+    a_hat: tuple[float, ...] | None = None
+    g: tuple[float, ...] | None = None
+
+
+def _time_error(t: float, last: float) -> TimeRegression:
+    return TimeRegression(f"offer at {t} is not finite or precedes last event {last}")
+
+
+def drain(b: float, r: float, dt: float) -> tuple[float, float]:
+    """One bucket step: (fill if the offer is rejected, fill if admitted).
+
+    The fill b drains at rate r over dt, never below 0; an admitted offer
+    adds 1 to the drained fill, and never leaves less than that 1.
+    """
+    drained = b - r * dt
+    provisional = drained + 1.0
+    return (drained if drained > 0.0 else 0.0,
+            1.0 if provisional < 1.0 else provisional)
 
 
 def compute_used_capacity(rho_hats, shares, c: float):
@@ -110,11 +143,11 @@ class TokenBucket:
 
     kind = "token_bucket"
 
-    def __init__(self, watermarks, rate: CapacityProfile, start_time: float = 0.0):
+    def __init__(self, watermarks, rate: CapacityProfile):
         self.watermarks = tuple(float(w) for w in watermarks)
         self.rate = rate
         self.b = 0.0
-        self.last_time = float(start_time)
+        self.last_time = 0.0
 
     @property
     def num_priorities(self) -> int:
@@ -130,45 +163,39 @@ class TokenBucket:
 
     def admit(self, t: float, class_id: int = 0, priority: int = 0) -> bool:
         dt = t - self.last_time
-        if dt < 0.0:
-            raise TimeRegression(f"offer at {t} precedes last event {self.last_time}")
+        if not 0.0 <= dt < inf:
+            raise _time_error(t, self.last_time)
         if not 0 <= priority < len(self.watermarks):
             raise UnknownPriority(f"priority {priority} not configured")
-        drained = self.b - self.rate.rate_at(self.last_time) * dt
-        provisional = drained + 1.0
-        if provisional < 1.0:
-            provisional = 1.0
+        rejected, provisional = drain(self.b, self.rate.rate_at(self.last_time), dt)
         admitted = provisional <= self.watermarks[priority]
-        self.b = provisional if admitted else max(0.0, drained)
+        self.b = provisional if admitted else rejected
         self.last_time = t
         return admitted
 
     def decide(self, offer: Offer) -> DecisionRecord:
         admitted = self.admit(offer.arrival, offer.class_id, offer.priority)
-        return DecisionRecord(
-            offer,
-            Decision.ADMIT if admitted else Decision.REJECT,
-            {"b": self.b},
-        )
+        return DecisionRecord(offer, _VERDICT[admitted], b=self.b)
 
 
 class TokenBucketRateModel:
     """Token bucket restated as a rate variable a_tilde with T = W/r.
 
     Defined for a constant token rate r; the decision sequence matches
-    TokenBucket((W,), constant r) exactly, with b = a_tilde * T.
+    TokenBucket((W,), constant r) exactly, with b = a_tilde * T.  Its
+    DecisionRecord carries the verdict only.
     """
 
     kind = "rate_model"
 
-    def __init__(self, rate: float, watermark: float, start_time: float = 0.0):
+    def __init__(self, rate: float, watermark: float):
         if rate <= 0.0:
             raise ValueError("rate must be positive")
         self.r = float(rate)
         self.W = float(watermark)
         self.T = self.W / self.r
         self.a_tilde = 0.0
-        self.last_time = float(start_time)
+        self.last_time = 0.0
 
     num_priorities = 1
 
@@ -181,8 +208,8 @@ class TokenBucketRateModel:
 
     def admit(self, t: float, class_id: int = 0, priority: int = 0) -> bool:
         dt = t - self.last_time
-        if dt < 0.0:
-            raise TimeRegression(f"offer at {t} precedes last event {self.last_time}")
+        if not 0.0 <= dt < inf:
+            raise _time_error(t, self.last_time)
         T = self.T
         decayed = (T * self.a_tilde - dt * self.r) / T
         if decayed < 0.0:
@@ -195,11 +222,7 @@ class TokenBucketRateModel:
 
     def decide(self, offer: Offer) -> DecisionRecord:
         admitted = self.admit(offer.arrival, offer.class_id, offer.priority)
-        return DecisionRecord(
-            offer,
-            Decision.ADMIT if admitted else Decision.REJECT,
-            {"a_tilde": self.a_tilde},
-        )
+        return DecisionRecord(offer, _VERDICT[admitted])
 
 
 class RateGapper:
@@ -208,91 +231,98 @@ class RateGapper:
     Keeps one offered-rate estimate rho_hat_i and one admitted-rate estimate
     a_hat_i per class.  Every event decays all estimators with the timer T_j
     of the arriving offer's priority; only the offered class receives the
-    impulse.  The offer is admitted iff the provisional admitted rate of its
-    class stays within the class's bound rate g_i.  Rejected offers still
-    count as offered traffic (rho_hat keeps the impulse) but never raise any
-    a_hat.
+    impulse.  The offer is admitted iff the provisional admitted rate
+    alpha_hat_k of its class stays within the class's bound rate g_k.
+    Rejected offers still count as offered traffic (rho_hat keeps the
+    impulse) but never raise any a_hat.  ``admit`` is the one decision core:
+    MixedGapper sets ``watermarks`` to turn on its bucket relaxation there,
+    and ``decide`` reports what ``admit`` decided.
     """
 
     kind = "rate_gapper"
 
     def __init__(self, num_classes: int, shares, timers,
                  capacity: CapacityProfile, variant: str = "G",
-                 start_time: float = 0.0, normalize: bool = False):
+                 normalize: bool = False):
         self.num_classes = int(num_classes)
         self.shares = tuple(float(s) for s in shares)
-        self.timers = tuple(float(x) for x in timers)
+        self.timers = tuple(float(x) for x in timers) if timers is not None else None
         self.capacity = capacity
         self.variant = variant
         self.normalize = normalize
+        self.num_priorities = len(self.timers or ())
+        self.watermarks = None
+        self.b = None
         self.rho = [0.0] * self.num_classes
         self.a_hat = [0.0] * self.num_classes
-        self.last_time = float(start_time)
-
-    @property
-    def num_priorities(self) -> int:
-        return len(self.timers)
+        self.last_time = 0.0
+        # alpha_hat_k, g and c of the last admit, for decide() to report;
+        # admit() leaves them here so it stays a single call.
+        self._terms = None
 
     def clone(self) -> "RateGapper":
-        other = RateGapper.__new__(RateGapper)
+        other = self.__class__.__new__(self.__class__)
         other.__dict__.update(self.__dict__)
         other.rho = list(self.rho)
         other.a_hat = list(self.a_hat)
         return other
 
-    def _decide(self, t: float, class_id: int, priority: int):
-        dt = t - self.last_time
-        if dt < 0.0:
-            raise TimeRegression(f"offer at {t} precedes last event {self.last_time}")
+    def admit(self, t: float, class_id: int = 0, priority: int = 0) -> bool:
+        last = self.last_time
+        dt = t - last
+        if not 0.0 <= dt < inf:
+            raise _time_error(t, last)
         if not 0 <= class_id < self.num_classes:
             raise UnknownClass(f"class {class_id} not configured")
-        if not 0 <= priority < len(self.timers):
+        if not 0 <= priority < self.num_priorities:
             raise UnknownPriority(f"priority {priority} not configured")
-        T = self.timers[priority]
-        decay = 1.0 - dt / T
-        if decay < 0.0:
-            decay = 0.0
+        watermarks = self.watermarks
+        if watermarks is None:
+            T = self.timers[priority]
+            relax = 1.0
+        else:
+            w_j = watermarks[priority]
+            T = self.timers[priority] if self.timers is not None else w_j / self.rate.rate_at(t)
+            rejected, provisional = drain(self.b, self.rate.rate_at(last), dt)
+            if provisional > self.w_max:
+                provisional = self.w_max
+            relax = provisional / w_j
+        decay = forgetting(dt, T)
         impulse = 1.0 / T
-        rho = self.rho
-        a_hat = self.a_hat
-        for i in range(self.num_classes):
-            rho[i] *= decay
+        self.rho = rho = [v * decay for v in self.rho]
         rho[class_id] += impulse
-        alpha = [v * decay for v in a_hat]
-        alpha[class_id] += impulse
+        self.a_hat = a_hat = [v * decay for v in self.a_hat]
+        alpha_k = a_hat[class_id] + impulse
         c = self.capacity.rate_at(t)
         g = compute_bound_rates(rho, self.shares, c, self.variant, self.normalize)
-        admitted = alpha[class_id] <= g[class_id]
+        admitted = relax * alpha_k <= g[class_id]
         if admitted:
-            self.a_hat = alpha
-        else:
-            for i in range(self.num_classes):
-                a_hat[i] *= decay
+            a_hat[class_id] = alpha_k
+        if watermarks is not None:
+            self.b = provisional if admitted else rejected
         self.last_time = t
-        return admitted, alpha, g, c
-
-    def admit(self, t: float, class_id: int = 0, priority: int = 0) -> bool:
-        return self._decide(t, class_id, priority)[0]
+        self._terms = alpha_k, g, c
+        return admitted
 
     def decide(self, offer: Offer) -> DecisionRecord:
-        admitted, alpha, g, c = self._decide(offer.arrival, offer.class_id, offer.priority)
-        diag = {"u": compute_used_capacity(self.rho, self.shares, c)[0]}
-        for i in range(self.num_classes):
-            diag[f"rho_hat_{i}"] = self.rho[i]
-            diag[f"alpha_hat_{i}"] = alpha[i]
-            diag[f"a_hat_{i}"] = self.a_hat[i]
-            diag[f"g_{i}"] = g[i]
+        k = offer.class_id
+        admitted = self.admit(offer.arrival, k, offer.priority)
+        alpha_k, g, c = self._terms
+        a_hat = tuple(self.a_hat)
         return DecisionRecord(
-            offer, Decision.ADMIT if admitted else Decision.REJECT, diag)
+            offer, _VERDICT[admitted], b=self.b,
+            u=compute_used_capacity(self.rho, self.shares, c)[0],
+            rho_hat=tuple(self.rho), alpha_hat=a_hat[:k] + (alpha_k,) + a_hat[k + 1:],
+            a_hat=a_hat, g=tuple(g))
 
 
-class MixedGapper:
+class MixedGapper(RateGapper):
     """Rate gapping with bucket-type aggregate characteristics.
 
-    Runs the RateGapper bookkeeping and a token bucket side by side; the
-    admission test is the gapper's, relaxed by the relative bucket fill:
-    (b/W_j) * alpha_hat_k <= g_k.  The fill used in the test and committed on
-    admission is clamped to W_max = max_j W_j.  Timers default to
+    The RateGapper core with the bucket relaxation on: the admission test is
+    (b/W_j) * alpha_hat_k <= g_k, with b the provisional fill of a bucket
+    that drains like TokenBucket's.  The fill used in the test and committed
+    on admission is clamped to W_max = max_j W_j.  Timers default to
     T_j = W_j / r(t); pass explicit timers to decouple them from the
     watermarks.
     """
@@ -301,91 +331,13 @@ class MixedGapper:
 
     def __init__(self, num_classes: int, shares, watermarks,
                  capacity: CapacityProfile, rate: CapacityProfile | None = None,
-                 timers=None, variant: str = "G", start_time: float = 0.0,
-                 normalize: bool = False):
-        self.num_classes = int(num_classes)
-        self.shares = tuple(float(s) for s in shares)
+                 timers=None, variant: str = "G", normalize: bool = False):
+        super().__init__(num_classes, shares, timers, capacity, variant, normalize)
         self.watermarks = tuple(float(w) for w in watermarks)
+        self.num_priorities = len(self.watermarks)
         self.w_max = max(self.watermarks)
-        self.capacity = capacity
         self.rate = rate if rate is not None else capacity
-        self.timers = tuple(float(x) for x in timers) if timers is not None else None
-        self.variant = variant
-        self.normalize = normalize
-        self.rho = [0.0] * self.num_classes
-        self.a_hat = [0.0] * self.num_classes
         self.b = 0.0
-        self.last_time = float(start_time)
-
-    @property
-    def num_priorities(self) -> int:
-        return len(self.watermarks)
-
-    def clone(self) -> "MixedGapper":
-        other = MixedGapper.__new__(MixedGapper)
-        other.__dict__.update(self.__dict__)
-        other.rho = list(self.rho)
-        other.a_hat = list(self.a_hat)
-        return other
-
-    def _decide(self, t: float, class_id: int, priority: int):
-        dt = t - self.last_time
-        if dt < 0.0:
-            raise TimeRegression(f"offer at {t} precedes last event {self.last_time}")
-        if not 0 <= class_id < self.num_classes:
-            raise UnknownClass(f"class {class_id} not configured")
-        if not 0 <= priority < len(self.watermarks):
-            raise UnknownPriority(f"priority {priority} not configured")
-        r_prev = self.rate.rate_at(self.last_time)
-        r_now = self.rate.rate_at(t)
-        w_j = self.watermarks[priority]
-        T = self.timers[priority] if self.timers is not None else w_j / r_now
-        decay = 1.0 - dt / T
-        if decay < 0.0:
-            decay = 0.0
-        impulse = 1.0 / T
-        rho = self.rho
-        a_hat = self.a_hat
-        for i in range(self.num_classes):
-            rho[i] *= decay
-        rho[class_id] += impulse
-        alpha = [v * decay for v in a_hat]
-        alpha[class_id] += impulse
-        c = self.capacity.rate_at(t)
-        g = compute_bound_rates(rho, self.shares, c, self.variant, self.normalize)
-        drained = self.b - r_prev * dt
-        provisional = drained + 1.0
-        if provisional < 1.0:
-            provisional = 1.0
-        if provisional > self.w_max:
-            provisional = self.w_max
-        admitted = (provisional / w_j) * alpha[class_id] <= g[class_id]
-        if admitted:
-            self.a_hat = alpha
-            self.b = provisional
-        else:
-            for i in range(self.num_classes):
-                a_hat[i] *= decay
-            self.b = max(0.0, drained)
-        self.last_time = t
-        return admitted, alpha, g, c
-
-    def admit(self, t: float, class_id: int = 0, priority: int = 0) -> bool:
-        return self._decide(t, class_id, priority)[0]
-
-    def decide(self, offer: Offer) -> DecisionRecord:
-        admitted, alpha, g, c = self._decide(offer.arrival, offer.class_id, offer.priority)
-        diag = {
-            "b": self.b,
-            "u": compute_used_capacity(self.rho, self.shares, c)[0],
-        }
-        for i in range(self.num_classes):
-            diag[f"rho_hat_{i}"] = self.rho[i]
-            diag[f"alpha_hat_{i}"] = alpha[i]
-            diag[f"a_hat_{i}"] = self.a_hat[i]
-            diag[f"g_{i}"] = g[i]
-        return DecisionRecord(
-            offer, Decision.ADMIT if admitted else Decision.REJECT, diag)
 
 
 def probe_recovery_times(throttle, t0: float, step: float, horizon: float,

@@ -102,11 +102,6 @@ class CapacityProfile:
         return cls(tuple(segs))
 
 
-def capacity_at(profile: CapacityProfile, t: float) -> float:
-    """Module-level alias of CapacityProfile.rate_at."""
-    return profile.rate_at(t)
-
-
 @dataclass(frozen=True)
 class ShareVector:
     """Agreed capacity fractions per traffic class; sums to 1.
@@ -170,21 +165,3 @@ class PriorityParams:
 
     def __len__(self) -> int:
         return len(self.watermarks)
-
-
-def validate_config(num_classes: int, num_priorities: int,
-                    shares: ShareVector, params: PriorityParams) -> None:
-    """Check that shares/params are consistent with the class/priority counts.
-
-    Raises ShareSumError, EmptyClassSet or NonPositiveTimer on failure.
-    """
-    if num_classes < 1:
-        raise EmptyClassSet("need at least one traffic class")
-    if num_priorities < 1:
-        raise ConfigError("need at least one priority level")
-    if len(shares) != num_classes:
-        raise ShareSumError(
-            f"share vector length {len(shares)} != class count {num_classes}")
-    if len(params) != num_priorities:
-        raise ConfigError(
-            f"priority params length {len(params)} != priority count {num_priorities}")

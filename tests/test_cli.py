@@ -105,6 +105,14 @@ class TestCliExitCodes:
     def test_check_without_requirements(self, tmp_path, capsys):
         assert main(["check", write_doc(tmp_path, minimal_doc())]) == 2
 
+    @pytest.mark.parametrize("shares", [[0.1, 0.4], [-0.2, 1.2], [1.0]])
+    def test_bad_shares(self, tmp_path, capsys, shares):
+        doc = json.loads((SCENARIOS / "shares_20_80.json").read_text())
+        i = next(i for i, s in enumerate(doc["strategies"]) if "shares" in s)
+        doc["strategies"][i]["shares"] = shares
+        assert main(["simulate", write_doc(tmp_path, doc)]) == 2
+        assert f"strategies[{i}].shares" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_report_to_stdout(self, tmp_path, capsys):

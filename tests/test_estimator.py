@@ -38,7 +38,6 @@ class TestStatefulApi:
         s1 = estimator_update(s0, 2.0, 1, 10.0)
         assert s1.value == pytest.approx(0.1)
         assert s1.last_time == 2.0
-        assert s1.last_T == 10.0
 
     def test_peek_does_not_commit(self):
         s0 = EstimatorState(value=1.0, last_time=0.0)
@@ -54,6 +53,11 @@ class TestStatefulApi:
         s = EstimatorState(value=0.0, last_time=5.0)
         with pytest.raises(TimeRegression):
             estimator_peek(s, 4.0, 1, 10.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time(self, t):
+        with pytest.raises(TimeRegression):
+            estimator_peek(EstimatorState(value=1.0, last_time=5.0), t, 1, 10.0)
 
     def test_bad_timer(self):
         with pytest.raises(DomainError):

@@ -9,6 +9,7 @@ from gapcraft.errors import (
     UnknownClass,
     UnknownPriority,
 )
+from gapcraft.estimator import step
 from gapcraft.throttles import (
     MixedGapper,
     RateGapper,
@@ -151,7 +152,7 @@ class TestTokenBucket:
         tb = TokenBucket((10.0,), C1)
         rec = tb.decide(generate_offers(1)[0])
         assert rec.verdict is Decision.ADMIT
-        assert rec.diagnostics["b"] == tb.b
+        assert rec.b == tb.b
 
     def test_burst_bound(self):
         # W back-to-back offers admit, the (W+1)-th rejects
@@ -199,10 +200,9 @@ class TestRateGapper:
         rg = RateGapper(2, (0.2, 0.8), (10.0,), C1)
         rec = rg.decide(generate_offers(1)[0])
         assert rec.verdict is Decision.ADMIT
-        d = rec.diagnostics
-        assert d["rho_hat_0"] == pytest.approx(0.1)
-        assert d["alpha_hat_0"] == pytest.approx(0.1)
-        assert d["g_0"] == pytest.approx(0.1)
+        assert rec.rho_hat[0] == pytest.approx(0.1)
+        assert rec.alpha_hat[0] == pytest.approx(0.1)
+        assert rec.g[0] == pytest.approx(0.1)
 
     def test_under_share_always_admitted(self):
         # class kept below its share is never rejected, whatever class 0 does
@@ -343,11 +343,79 @@ class TestMixedGapper:
         assert mx2.rho[0] == pytest.approx(2.0 * impulse_lo)
 
     def test_clone_isolated(self):
-        mx = MixedGapper(1, (1.0,), (10.0,), C1)
+        mx = MixedGapper(2, (0.5, 0.5), (10.0,), C1)
         mx.admit(0.0)
+        rho, a_hat = list(mx.rho), list(mx.a_hat)
         c = mx.clone()
-        c.admit(1.0)
-        assert mx.b == 1.0 and mx.last_time == 0.0
+        assert c.admit(0.5, class_id=1)
+        assert c.b != mx.b and c.rho != rho and c.a_hat != a_hat
+        assert mx.b == 1.0 and mx.rho == rho and mx.a_hat == a_hat
+        assert mx.last_time == 0.0
+
+
+THROTTLES = {
+    "token_bucket": lambda: TokenBucket((10.0,), C1),
+    "rate_model": lambda: TokenBucketRateModel(1.0, 10.0),
+    "rate_gapper": lambda: RateGapper(1, (1.0,), (10.0,), C1),
+    "mixed": lambda: MixedGapper(1, (1.0,), (10.0,), C1),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("kind", sorted(THROTTLES))
+def test_non_finite_time_refused(kind, t):
+    throttle = THROTTLES[kind]()
+    assert throttle.admit(1.0)
+    with pytest.raises(TimeRegression):
+        throttle.admit(t)
+    assert throttle.last_time == 1.0
+    assert throttle.admit(2.0)
+
+
+@st.composite
+def gapper_runs(draw):
+    """A gapper (plain, or bucket-relaxed with explicit or capacity-coupled
+    timers) and an event sequence of (gap, class, priority)."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.integers(min_value=1, max_value=3))
+    raw = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=n, max_size=n))
+    shares = [x / sum(raw) for x in raw]
+    capacity = CapacityProfile(((0.0, draw(st.floats(min_value=0.5, max_value=20.0))),
+                                (5.0, draw(st.floats(min_value=0.5, max_value=20.0)))))
+    timers = draw(st.lists(st.floats(min_value=0.05, max_value=10.0), min_size=m, max_size=m))
+    watermarks = draw(st.lists(st.floats(min_value=1.0, max_value=30.0), min_size=m, max_size=m))
+    form = draw(st.sampled_from(["plain", "mixed", "mixed_coupled"]))
+    if form == "plain":
+        gapper = RateGapper(n, shares, timers, capacity)
+    else:
+        gapper = MixedGapper(n, shares, watermarks, capacity,
+                             timers=timers if form == "mixed" else None)
+    events = draw(st.lists(st.tuples(st.floats(min_value=0.0, max_value=2.0),
+                                     st.integers(min_value=0, max_value=n - 1),
+                                     st.integers(min_value=0, max_value=m - 1)),
+                           min_size=1, max_size=60))
+    return gapper, events
+
+
+@settings(max_examples=150, deadline=None)
+@given(gapper_runs())
+def test_gapper_estimators_follow_scalar_recursion(run):
+    # after every event each class's rho_hat and a_hat equal the scalar
+    # estimator step with the arriving offer's timer, bit for bit
+    gapper, events = run
+    t = 0.0
+    for gap, k, j in events:
+        t += gap
+        if gapper.timers is None:  # capacity-coupled T_j = W_j / r(t)
+            T = gapper.watermarks[j] / gapper.rate.rate_at(t)
+        else:
+            T = gapper.timers[j]
+        rho, a_hat = list(gapper.rho), list(gapper.a_hat)
+        dt = t - gapper.last_time
+        admitted = gapper.admit(t, k, j)
+        assert gapper.rho == [step(v, dt, i == k, T) for i, v in enumerate(rho)]
+        assert gapper.a_hat == [step(v, dt, admitted and i == k, T)
+                                for i, v in enumerate(a_hat)]
 
 
 class TestProbeRecovery:

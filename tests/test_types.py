@@ -14,8 +14,6 @@ from gapcraft.types import (
     Offer,
     PriorityParams,
     ShareVector,
-    capacity_at,
-    validate_config,
 )
 
 
@@ -59,10 +57,6 @@ class TestCapacityProfile:
         assert c.rate_at(19.0) == 2.0
         assert c.rate_at(20.0) == 0.5
         assert c.rate_at(1e6) == 0.5
-
-    def test_alias(self):
-        c = CapacityProfile.constant(2.0)
-        assert capacity_at(c, 5.0) == c.rate_at(5.0)
 
     def test_ramp_endpoints(self):
         c = CapacityProfile.ramp(1.0, 2.0, 10.0, dt=0.5)
@@ -144,23 +138,3 @@ class TestPriorityParams:
         with pytest.raises(NonPositiveTimer):
             PriorityParams((10.0,), (0.0,))
 
-
-class TestValidateConfig:
-    def test_consistent(self):
-        validate_config(2, 2, ShareVector((0.2, 0.8)),
-                        PriorityParams((15.0, 10.0), (0.15, 0.10)))
-
-    def test_class_count_mismatch(self):
-        with pytest.raises(ShareSumError):
-            validate_config(3, 1, ShareVector((0.5, 0.5)),
-                            PriorityParams((10.0,), (1.0,)))
-
-    def test_priority_count_mismatch(self):
-        with pytest.raises(ConfigError):
-            validate_config(1, 2, ShareVector((1.0,)),
-                            PriorityParams((10.0,), (1.0,)))
-
-    def test_empty_classes(self):
-        with pytest.raises(EmptyClassSet):
-            validate_config(0, 1, ShareVector((1.0,)),
-                            PriorityParams((10.0,), (1.0,)))
