@@ -38,6 +38,7 @@ from .traffic import (
     PriorityMix,
     StreamSpec,
     generate_stream,
+    stream_columns,
     stream_from_file,
     stream_to_file,
 )
@@ -62,5 +63,5 @@ __all__ = [
     "compute_used_capacity", "erlang_b", "estimator_bias", "estimator_peek",
     "estimator_update", "generate_stream", "load_scenario",
     "probe_recovery_times", "run_batch", "run_once", "run_stream",
-    "stream_from_file", "stream_to_file", "survey_recovery",
+    "stream_columns", "stream_from_file", "stream_to_file", "survey_recovery",
 ]

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError
 from .harness import StrategyResult
 from .throttles import probe_recovery_times
@@ -143,10 +145,11 @@ def check_req_c(result: StrategyResult, shares, capacity: CapacityProfile,
     protected = [_protected_windows(profiles[k], shares[k], capacity, window, n_win)
                  for k in range(len(profiles))]
     violations = [0] * len(profiles)
-    for t, k, _ in result.reject_events:
-        idx = min(n_win - 1, int(t / window)) if n_win else 0
-        if n_win and protected[k][idx]:
-            violations[k] += 1
+    if n_win:
+        reject = ~result.decisions
+        classes = result.class_id[reject]
+        hit = np.array(protected)[classes, result.window_index(window, n_win)[reject]]
+        violations = np.bincount(classes[hit], minlength=len(profiles)).tolist()
     total = sum(violations)
     return RequirementVerdict(
         "C",

@@ -4,6 +4,13 @@ Every strategy in a scenario consumes the identical offer stream for a given
 replication; replication r always uses RNG substream r, so batches are
 deterministic and schedule-independent.  Set GAPCRAFT_THREADS (or pass
 ``workers``) to fan replications out over processes.
+
+A replication is columnar from stream to result: ``run_once`` takes the
+stream as arrays from ``traffic.stream_columns``, calls each throttle's
+``admit`` over them into one boolean decision vector per strategy, and every
+count in a ``StrategyResult`` is a bincount over that vector.  Offer objects
+are built only for a traced run, whose records hold them; ``run_stream``
+accepts an Offer list and feeds the same core.
 """
 
 from __future__ import annotations
@@ -15,7 +22,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+import numpy as np
+
+from .errors import ConfigError, UnknownClass, UnknownPriority
 from .throttles import (
     DecisionRecord,
     MixedGapper,
@@ -23,7 +32,7 @@ from .throttles import (
     TokenBucket,
     TokenBucketRateModel,
 )
-from .traffic import StreamSpec, generate_stream
+from .traffic import StreamSpec, stream_columns
 from .types import CapacityProfile, Decision, Offer
 
 DEFAULT_WINDOW = 10.0
@@ -94,33 +103,74 @@ def build_throttle(cfg: StrategyConfig, scenario: Scenario):
     raise ConfigError(f"{cfg.name}: unknown strategy kind {cfg.kind!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class StrategyResult:
-    """Per-strategy outcome of one replication."""
+    """Per-strategy outcome of one replication.
+
+    Holds the replication's stream as columns -- ``arrival``, ``class_id``
+    and ``priority`` arrays, shared by every strategy of the replication --
+    and the strategy's decision vector ``decisions`` (True = admitted).  The
+    counts are computed from them at construction, as Python ints;
+    ``admit_times_by_class`` and ``reject_events`` are built from them on
+    request.
+    """
 
     name: str
     num_classes: int
     num_priorities: int
-    admitted: int = 0
-    rejected: int = 0
-    admit_by_class: list[int] = field(default_factory=list)
-    reject_by_class: list[int] = field(default_factory=list)
-    admit_by_priority: list[int] = field(default_factory=list)
-    reject_by_priority: list[int] = field(default_factory=list)
-    admit_times_by_class: list[list[float]] = field(default_factory=list)
-    reject_events: list[tuple[float, int, int]] = field(default_factory=list)
-    end_time: float = 0.0
+    arrival: np.ndarray
+    class_id: np.ndarray
+    priority: np.ndarray
+    decisions: np.ndarray
     trace: list[DecisionRecord] | None = None
+    admitted: int = field(init=False)
+    rejected: int = field(init=False)
+    admit_by_class: list[int] = field(init=False)
+    reject_by_class: list[int] = field(init=False)
+    admit_by_priority: list[int] = field(init=False)
+    reject_by_priority: list[int] = field(init=False)
+    end_time: float = field(init=False)
+
+    def __post_init__(self):
+        admit = self.decisions
+        reject = ~admit
+        self.admitted = int(np.count_nonzero(admit))
+        self.rejected = len(admit) - self.admitted
+        self.admit_by_class, self.reject_by_class = (
+            _bincount(self.class_id[m], self.num_classes, UnknownClass, "class")
+            for m in (admit, reject))
+        self.admit_by_priority, self.reject_by_priority = (
+            _bincount(self.priority[m], self.num_priorities, UnknownPriority, "priority")
+            for m in (admit, reject))
+        self.end_time = float(self.arrival[-1]) if len(self.arrival) else 0.0
 
     @property
     def total(self) -> int:
         return self.admitted + self.rejected
+
+    @property
+    def admit_times_by_class(self) -> list[list[float]]:
+        """Arrival times of the admitted offers, one list per class."""
+        times = self.arrival[self.decisions]
+        classes = self.class_id[self.decisions]
+        return [times[classes == k].tolist() for k in range(self.num_classes)]
+
+    @property
+    def reject_events(self) -> list[tuple[float, int, int]]:
+        """(arrival, class id, priority) of every rejected offer, in order."""
+        reject = ~self.decisions
+        return list(zip(self.arrival[reject].tolist(), self.class_id[reject].tolist(),
+                        self.priority[reject].tolist()))
 
     def reject_shares_by_priority(self) -> list[float]:
         """Fraction of all rejections per priority; NaN when none occurred."""
         if self.rejected == 0:
             return [math.nan] * self.num_priorities
         return [n / self.rejected for n in self.reject_by_priority]
+
+    def window_index(self, window: float, n_win: int) -> np.ndarray:
+        """Window of each offer, ``int(t / window)`` capped at ``n_win - 1``."""
+        return np.minimum((self.arrival / window).astype(np.intp), n_win - 1)
 
     def windowed_rates(self, window: float | None = None):
         """Admission-rate series (events/sec) per window.
@@ -129,15 +179,20 @@ class StrategyResult:
         """
         w = window if window is not None else DEFAULT_WINDOW
         n_win = max(1, int(math.ceil(self.end_time / w)))
-        agg = [0.0] * n_win
-        per_class = [[0.0] * n_win for _ in range(self.num_classes)]
-        for k, ts in enumerate(self.admit_times_by_class):
-            for t in ts:
-                idx = min(n_win - 1, int(t / w))
-                agg[idx] += 1.0
-                per_class[k][idx] += 1.0
+        nc = self.num_classes
+        cell = self.class_id * n_win + self.window_index(w, n_win)
+        counts = np.bincount(cell[self.decisions], minlength=nc * n_win)
+        per_class = counts.reshape(nc, n_win)
         starts = [i * w for i in range(n_win)]
-        return starts, [x / w for x in agg], [[x / w for x in row] for row in per_class]
+        return (starts, (per_class.sum(axis=0) / w).tolist(),
+                [(row / w).tolist() for row in per_class])
+
+
+def _bincount(values: np.ndarray, n: int, error, what: str) -> list[int]:
+    counts = np.bincount(values, minlength=n)
+    if len(counts) > n:
+        raise error(f"{what} {len(counts) - 1} not configured")
+    return counts.tolist()
 
 
 @dataclass
@@ -150,59 +205,47 @@ class RunResult:
     strategies: dict[str, StrategyResult]
 
 
+def _decide(throttle, columns: tuple[list, list, list], offers: list[Offer] | None):
+    """One throttle's decision vector over a stream given as column lists.
+
+    With ``offers`` (the same stream as Offer objects) every decision goes
+    through ``decide`` and its records are returned as the trace.
+    """
+    n = len(columns[0])
+    if offers is None:
+        return np.fromiter(map(throttle.admit, *columns), dtype=bool, count=n), None
+    trace = list(map(throttle.decide, offers))
+    return np.fromiter((rec.verdict is Decision.ADMIT for rec in trace),
+                       dtype=bool, count=n), trace
+
+
 def run_stream(offers: list[Offer], throttle, name: str, num_classes: int,
                trace: bool = False) -> StrategyResult:
     """Feed one offer stream through one throttle."""
-    num_priorities = throttle.num_priorities
-    res = StrategyResult(
-        name=name,
-        num_classes=num_classes,
-        num_priorities=num_priorities,
-        admit_by_class=[0] * num_classes,
-        reject_by_class=[0] * num_classes,
-        admit_by_priority=[0] * num_priorities,
-        reject_by_priority=[0] * num_priorities,
-        admit_times_by_class=[[] for _ in range(num_classes)],
-        trace=[] if trace else None,
-    )
-    admit = throttle.admit
-    if trace:
-        for offer in offers:
-            rec = throttle.decide(offer)
-            res.trace.append(rec)
-            _tally(res, offer, rec.verdict is Decision.ADMIT)
-    else:
-        for offer in offers:
-            _tally(res, offer, admit(offer.arrival, offer.class_id, offer.priority))
-    if offers:
-        res.end_time = offers[-1].arrival
-    return res
-
-
-def _tally(res: StrategyResult, offer: Offer, admitted: bool) -> None:
-    if admitted:
-        res.admitted += 1
-        res.admit_by_class[offer.class_id] += 1
-        res.admit_by_priority[offer.priority] += 1
-        res.admit_times_by_class[offer.class_id].append(offer.arrival)
-    else:
-        res.rejected += 1
-        res.reject_by_class[offer.class_id] += 1
-        res.reject_by_priority[offer.priority] += 1
-        res.reject_events.append((offer.arrival, offer.class_id, offer.priority))
+    columns = ([o.arrival for o in offers], [o.class_id for o in offers],
+               [o.priority for o in offers])
+    decisions, records = _decide(throttle, columns, offers if trace else None)
+    arrival, class_id, priority = columns
+    return StrategyResult(
+        name, num_classes, throttle.num_priorities,
+        np.array(arrival, dtype=np.float64), np.array(class_id, dtype=np.intp),
+        np.array(priority, dtype=np.intp), decisions, records)
 
 
 def run_once(scenario: Scenario, replication: int = 0) -> RunResult:
     """Run every strategy over the identical stream of one replication."""
-    offers = generate_stream(scenario.stream_spec, replication)
+    arrays = stream_columns(scenario.stream_spec, replication)
+    columns = tuple(col.tolist() for col in arrays)
+    offers = [Offer(*o) for o in zip(*columns)] if scenario.trace else None
     num_classes = scenario.stream_spec.num_classes
     results = {}
     for cfg in scenario.strategies:
         throttle = build_throttle(cfg, scenario)
-        results[cfg.name] = run_stream(offers, throttle, cfg.name, num_classes,
-                                       trace=scenario.trace)
-    end = offers[-1].arrival if offers else 0.0
-    return RunResult(replication, len(offers), end, results)
+        decisions, records = _decide(throttle, columns, offers)
+        results[cfg.name] = StrategyResult(
+            cfg.name, num_classes, throttle.num_priorities, *arrays, decisions, records)
+    end = columns[0][-1] if columns[0] else 0.0
+    return RunResult(replication, len(columns[0]), end, results)
 
 
 @dataclass

@@ -289,9 +289,12 @@ class RateGapper:
             relax = provisional / w_j
         decay = forgetting(dt, T)
         impulse = 1.0 / T
-        self.rho = rho = [v * decay for v in self.rho]
+        rho = self.rho
+        a_hat = self.a_hat
+        for i in range(self.num_classes):
+            rho[i] *= decay
+            a_hat[i] *= decay
         rho[class_id] += impulse
-        self.a_hat = a_hat = [v * decay for v in self.a_hat]
         alpha_k = a_hat[class_id] + impulse
         c = self.capacity.rate_at(t)
         g = compute_bound_rates(rho, self.shares, c, self.variant, self.normalize)

@@ -9,6 +9,11 @@ independent priority drawn from the configured mix.
 Randomness comes from numpy's counter-based Philox generator keyed with
 (seed, replication_index), so replication substreams are disjoint by
 construction and batches are order-independent.
+
+``stream_columns`` is the generator: it returns one replication as three
+arrays (arrival times, class ids, priorities), which is what the harness
+decides on.  ``generate_stream`` builds validated ``Offer`` objects from
+those columns for callers that want them one by one.
 """
 
 from __future__ import annotations
@@ -136,10 +141,12 @@ def _segment_bounds(spec: StreamSpec) -> list[float]:
     return sorted(b for b in bounds if spec.duration is None or b <= spec.duration)
 
 
-def generate_stream(spec: StreamSpec, replication: int = 0) -> list[Offer]:
-    """Generate one strictly time-ordered offer stream.
+def stream_columns(spec: StreamSpec, replication: int = 0
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Generate one strictly time-ordered offer stream as columns.
 
-    Identical (spec, replication) pairs yield identical streams.
+    Returns (arrival float64, class id intp, priority intp) arrays of equal
+    length.  Identical (spec, replication) pairs yield identical columns.
     """
     rng = _rng_for(spec.seed, replication)
     profiles = spec.profiles
@@ -201,7 +208,7 @@ def generate_stream(spec: StreamSpec, replication: int = 0) -> list[Offer]:
                 break
 
     t_all = np.concatenate(times) if times else np.empty(0)
-    c_all = np.concatenate(classes) if classes else np.empty(0, dtype=int)
+    c_all = np.concatenate(classes) if classes else np.empty(0, dtype=np.intp)
     if target is not None:
         t_all = t_all[:target]
         c_all = c_all[:target]
@@ -214,9 +221,13 @@ def generate_stream(spec: StreamSpec, replication: int = 0) -> list[Offer]:
     mix_cum = np.cumsum(spec.mix.p)
     prios = np.searchsorted(mix_cum, rng.random(t_all.size), side="right")
     prios = np.minimum(prios, len(spec.mix) - 1)
+    return t_all, c_all.astype(np.intp, copy=False), prios.astype(np.intp, copy=False)
 
-    return [Offer(float(t), int(k), int(j))
-            for t, k, j in zip(t_all, c_all, prios)]
+
+def generate_stream(spec: StreamSpec, replication: int = 0) -> list[Offer]:
+    """The stream of ``stream_columns(spec, replication)`` as Offer objects."""
+    return [Offer(t, k, j)
+            for t, k, j in zip(*(col.tolist() for col in stream_columns(spec, replication)))]
 
 
 def stream_to_file(offers, path) -> None:

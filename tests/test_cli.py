@@ -1,6 +1,7 @@
 import json
 import math
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +113,70 @@ class TestCliExitCodes:
         doc["strategies"][i]["shares"] = shares
         assert main(["simulate", write_doc(tmp_path, doc)]) == 2
         assert f"strategies[{i}].shares" in capsys.readouterr().err
+
+
+def _row3(edit):
+    doc = json.loads((SCENARIOS / "table1_row3.json").read_text())
+    doc["replications"] = 2
+    doc["traffic"]["stop"] = {"offers": 200}
+    edit(doc)
+    return doc
+
+
+def _set(path, value):
+    """An edit that sets doc[path[0]][path[1]]... to value."""
+    def edit(doc):
+        block = doc
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+    return edit
+
+
+# (command, edit of table1_row3, key the error must name)
+BAD_FILES = [
+    ("simulate", _set(("strategies", 1, "timers"), [0.0, 1.0]), "strategies[1].timers"),
+    ("simulate", _set(("strategies", 1, "timers"), [-1.0, 1.0]), "strategies[1].timers"),
+    ("simulate", _set(("strategies", 2, "timers"), [math.inf, 1.0]), "strategies[2].timers"),
+    ("simulate", _set(("strategies", 2, "timers"), [2.0]), "strategies[2].timers"),
+    ("simulate", _set(("strategies", 0, "watermarks"), [0.5, 0.5]),
+     "strategies[0].watermarks"),
+    ("simulate", _set(("strategies", 2, "watermarks"), [math.nan, 10.0]),
+     "strategies[2].watermarks"),
+    ("simulate", _set(("strategies", 1, "variant"), "H"), "strategies[1].variant"),
+    ("simulate", _set(("traffic", "priority_mix"), [0.3, 0.3, 0.4]),
+     "traffic.priority_mix"),
+    ("simulate", _set(("requirements",), []), "requirements"),
+    ("check", _set(("requirements",), []), "requirements"),
+    ("check", _set(("requirements",), {"A": [10.0]}), "requirements.A"),
+    ("simulate", _set(("window_seconds",), 0), "window_seconds"),
+    ("simulate", _set(("traffic", "stop"), {"offers": 1.7}), "traffic.stop.offers"),
+    ("simulate", _set(("traffic", "stop"), {"duration": -1.0}), "traffic.stop.duration"),
+    ("simulate", _set(("traffic", "classes", 0, "knots"), [[0.0]]),
+     "traffic.classes[0].knots"),
+    ("simulate", _set(("capacity", "segments"), [[0.0, "fast"]]), "capacity.segments"),
+]
+
+
+class TestBadScenarioFiles:
+    @pytest.mark.parametrize("command, edit, key", BAD_FILES)
+    def test_exit_2_naming_the_key(self, tmp_path, capsys, command, edit, key):
+        assert main([command, write_doc(tmp_path, _row3(edit))]) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+    def test_generated_and_bundled_files_load(self, monkeypatch):
+        # the benchmark's generated scenarios must pass the same validation
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+        for path in SCENARIOS.iterdir():
+            if path.name.endswith(".json"):
+                load_scenario(path)
+        for seed in (0, 1, 99):
+            parse_scenario_dict(workloads.fairness_doc(seed))
+            parse_scenario_dict(workloads.diagnose_doc(seed))
 
 
 class TestSimulate:

@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gapcraft.errors import ConfigError
+from gapcraft.errors import ConfigError, UnknownPriority
 from gapcraft.harness import (
     Scenario,
     StrategyConfig,
@@ -17,8 +19,14 @@ from gapcraft.harness import (
     summarize,
 )
 from gapcraft.throttles import MixedGapper, RateGapper, TokenBucket, TokenBucketRateModel
-from gapcraft.traffic import IntensityProfile, PriorityMix, StreamSpec, generate_stream
-from gapcraft.types import CapacityProfile
+from gapcraft.traffic import (
+    IntensityProfile,
+    PriorityMix,
+    StreamSpec,
+    generate_stream,
+    stream_columns,
+)
+from gapcraft.types import CapacityProfile, Offer
 
 
 def make_scenario(strategies=None, replications=1, trace=False, rate=2.0,
@@ -219,3 +227,147 @@ class TestExports:
         lines = path.read_text().splitlines()
         assert lines[0].split(",")[0] == "t"
         assert len(lines) > 2
+
+
+def reference_tally(offers, decisions, num_classes, num_priorities):
+    """The per-offer tally of the harness before it kept decision vectors."""
+    ref = {
+        "admitted": 0, "rejected": 0,
+        "admit_by_class": [0] * num_classes, "reject_by_class": [0] * num_classes,
+        "admit_by_priority": [0] * num_priorities,
+        "reject_by_priority": [0] * num_priorities,
+        "admit_times_by_class": [[] for _ in range(num_classes)],
+        "reject_events": [], "end_time": 0.0,
+    }
+    for offer, admitted in zip(offers, decisions):
+        if admitted:
+            ref["admitted"] += 1
+            ref["admit_by_class"][offer.class_id] += 1
+            ref["admit_by_priority"][offer.priority] += 1
+            ref["admit_times_by_class"][offer.class_id].append(offer.arrival)
+        else:
+            ref["rejected"] += 1
+            ref["reject_by_class"][offer.class_id] += 1
+            ref["reject_by_priority"][offer.priority] += 1
+            ref["reject_events"].append((offer.arrival, offer.class_id, offer.priority))
+    if offers:
+        ref["end_time"] = offers[-1].arrival
+    return ref
+
+
+def reference_windowed_rates(ref, num_classes, w):
+    """The per-event windowed-rate loop, over a reference tally."""
+    n_win = max(1, int(math.ceil(ref["end_time"] / w)))
+    agg = [0.0] * n_win
+    per_class = [[0.0] * n_win for _ in range(num_classes)]
+    for k, ts in enumerate(ref["admit_times_by_class"]):
+        for t in ts:
+            idx = min(n_win - 1, int(t / w))
+            agg[idx] += 1.0
+            per_class[k][idx] += 1.0
+    starts = [i * w for i in range(n_win)]
+    return starts, [x / w for x in agg], [[x / w for x in row] for row in per_class]
+
+
+def assert_matches_reference(res, ref, window):
+    for key, want in ref.items():
+        got = getattr(res, key)
+        assert got == want, key
+        if key not in ("admit_times_by_class", "reject_events", "end_time"):
+            assert all(type(x) is int for x in (got if isinstance(got, list) else [got]))
+    assert res.windowed_rates(window) == reference_windowed_rates(
+        ref, res.num_classes, window)
+
+
+def _weights(draw, n):
+    w = [draw(st.floats(0.1, 1.0)) for _ in range(n)]
+    return tuple(x / sum(w) for x in w)
+
+
+@st.composite
+def tally_cases(draw):
+    kind = draw(st.sampled_from(["token_bucket", "rate_model", "rate_gapper", "mixed"]))
+    nc = draw(st.integers(1, 8))
+    nj = 1 if kind == "rate_model" else draw(st.integers(1, 3))
+    profiles = tuple(
+        IntensityProfile(((0.0, draw(st.floats(0.1, 4.0))),
+                          (draw(st.floats(1.0, 50.0)), draw(st.floats(0.1, 4.0)))))
+        for _ in range(nc))
+    if draw(st.booleans()):
+        stop = {"count": draw(st.integers(1, 300))}
+    else:
+        stop = {"duration": draw(st.sampled_from([1e-9, 0.5]) | st.floats(1.0, 60.0))}
+    spec = StreamSpec(profiles, PriorityMix(_weights(draw, nj)),
+                      seed=draw(st.integers(0, 2**32)), **stop)
+    starts = sorted(set(draw(st.lists(st.floats(0.5, 40.0), max_size=4))))
+    capacity = CapacityProfile(tuple(
+        (t, draw(st.floats(0.5, 10.0))) for t in [0.0, *starts]))
+    watermarks = tuple(draw(st.floats(1.0, 20.0)) for _ in range(nj))
+    timers = tuple(draw(st.floats(0.05, 5.0)) for _ in range(nj))
+    cfg = StrategyConfig(
+        "s", kind, watermarks=watermarks[:1] if kind == "rate_model" else watermarks,
+        timers=None if kind == "mixed" and draw(st.booleans()) else timers,
+        shares=_weights(draw, nc), variant=draw(st.sampled_from(["G", "GPrime"])),
+        normalize=draw(st.booleans()))
+    scenario = Scenario(spec, capacity, (cfg,), trace=draw(st.booleans()))
+    return scenario, draw(st.integers(0, 3)), draw(st.sampled_from([0.5, 3.0, 10.0]))
+
+
+class TestColumnarTally:
+    """The columnar StrategyResult against the per-offer reference tally."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(tally_cases())
+    def test_matches_reference_tally(self, case):
+        scenario, rep, window = case
+        spec = scenario.stream_spec
+        (cfg,) = scenario.strategies
+        offers = generate_stream(spec, rep)
+        admit = build_throttle(cfg, scenario).admit
+        decisions = [admit(o.arrival, o.class_id, o.priority) for o in offers]
+        nj = build_throttle(cfg, scenario).num_priorities
+        ref = reference_tally(offers, decisions, spec.num_classes, nj)
+        batch = run_once(scenario, rep)
+        assert batch.offers == len(offers)
+        assert batch.end_time == ref["end_time"]
+        streamed = run_stream(offers, build_throttle(cfg, scenario), cfg.name,
+                              spec.num_classes, trace=scenario.trace)
+        for res in (batch.strategies[cfg.name], streamed):
+            assert res.decisions.tolist() == decisions
+            assert (res.trace is not None) == scenario.trace
+            assert_matches_reference(res, ref, window)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tally_cases())
+    def test_generate_stream_is_the_columns(self, case):
+        scenario, rep, _ = case
+        columns = stream_columns(scenario.stream_spec, rep)
+        assert [c.dtype for c in columns] == [np.float64, np.intp, np.intp]
+        assert generate_stream(scenario.stream_spec, rep) == [
+            Offer(t, k, j) for t, k, j in zip(*(c.tolist() for c in columns))]
+
+    def test_empty_stream(self):
+        spec = StreamSpec((IntensityProfile.constant(1.0),), PriorityMix((1.0,)),
+                          seed=0, duration=1e-9)
+        scenario = make_scenario()
+        scenario = Scenario(spec, scenario.capacity, scenario.strategies)
+        run = run_once(scenario, 0)
+        assert run.offers == 0 and run.end_time == 0.0
+        ref = reference_tally([], [], 1, 1)
+        for res in run.strategies.values():
+            assert_matches_reference(res, ref, 10.0)
+        tb = TokenBucket((10.0,), CapacityProfile.constant(1.0))
+        assert_matches_reference(run_stream([], tb, "tb", 1), ref, 10.0)
+
+    def test_columns_shared_between_strategies(self):
+        run = run_once(make_scenario(), 0)
+        tb, rg = run.strategies.values()
+        assert tb.arrival is rg.arrival and tb.class_id is rg.class_id
+        assert tb.decisions is not rg.decisions
+
+    def test_priority_outside_the_throttle(self):
+        # the rate model ignores priority, so the tally is what refuses it
+        offers = [Offer(0.0, 0, 0), Offer(1.0, 0, 1)]
+        throttle = TokenBucketRateModel(1.0, 10.0)
+        with pytest.raises(UnknownPriority):
+            run_stream(offers, throttle, "rm", 1)
