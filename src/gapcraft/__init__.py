@@ -28,7 +28,6 @@ from .throttles import (
     MixedGapper,
     RateGapper,
     TokenBucket,
-    TokenBucketRateModel,
     compute_bound_rates,
     compute_used_capacity,
     probe_recovery_times,
@@ -58,7 +57,7 @@ __all__ = [
     "Offer", "PriorityMix", "PriorityParams", "RateGapper",
     "RequirementVerdict", "RunResult", "Scenario", "ScenarioFile",
     "ShareVector", "StrategyConfig", "StrategyResult", "StreamSpec",
-    "TokenBucket", "TokenBucketRateModel", "build_throttle",
+    "TokenBucket", "build_throttle",
     "check_req_a", "check_req_b", "check_req_c", "compute_bound_rates",
     "compute_used_capacity", "erlang_b", "estimator_bias", "estimator_peek",
     "estimator_update", "generate_stream", "load_scenario",

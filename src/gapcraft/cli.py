@@ -88,8 +88,8 @@ def cmd_check(args) -> int:
 
     if "A" in sf.requirements:
         cfg = sf.requirements["A"]
-        window = float(cfg.get("window", scenario.window))
-        tol = float(cfg.get("tolerance", 0.05))
+        window = cfg.get("window", scenario.window)
+        tol = cfg.get("tolerance", 0.05)
         for strat in scenario.strategies:
             if not wanted(cfg, strat.name):
                 continue
@@ -110,11 +110,11 @@ def cmd_check(args) -> int:
 
     if "B" in sf.requirements:
         cfg = sf.requirements["B"]
-        step = float(cfg.get("step", 0.25))
-        horizon = float(cfg.get("horizon", 30.0))
-        sample_every = int(cfg.get("sample_every", 1))
-        class_id = int(cfg.get("class_id", 0))
-        min_pass = float(cfg.get("min_pass_fraction", 0.95))
+        step = cfg.get("step", 0.25)
+        horizon = cfg.get("horizon", 30.0)
+        sample_every = cfg.get("sample_every", 1)
+        class_id = cfg.get("class_id", 0)
+        min_pass = cfg.get("min_pass_fraction", 0.95)
         offers = generate_stream(spec, 0)
         for strat in scenario.strategies:
             if not wanted(cfg, strat.name):
@@ -134,17 +134,12 @@ def cmd_check(args) -> int:
 
     if "C" in sf.requirements:
         cfg = sf.requirements["C"]
-        window = float(cfg.get("window", scenario.window))
-        shares_by_name = {s.name: s.shares for s in scenario.strategies}
+        window = cfg.get("window", scenario.window)
         for strat in scenario.strategies:
             if not wanted(cfg, strat.name):
                 continue
-            shares = shares_by_name[strat.name]
-            if shares is None:
-                shares = (1.0,) * spec.num_classes if spec.num_classes == 1 else None
-            if shares is None or len(shares) != spec.num_classes:
-                raise ConfigError(
-                    f"requirement C needs per-class shares for {strat.name}")
+            # the loader ensures shares here, unless the stream has one class
+            shares = strat.shares or (1.0,)
             per_rep = [check_req_c(run.strategies[strat.name], shares,
                                    scenario.capacity, spec.profiles, window)
                        for run in runs]

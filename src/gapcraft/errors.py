@@ -6,19 +6,57 @@ class GapcraftError(Exception):
 
 
 class ConfigError(GapcraftError):
-    """Invalid configuration (bad shares, timers, profiles, ...)."""
+    """Invalid configuration (bad shares, timers, profiles, ...).
+
+    ``param`` names the throttle parameter at fault for the errors a throttle
+    constructor raises (shares, watermarks, timers, variant, kind); None for
+    the others.
+    """
+
+    param: str | None = None
 
 
-class ShareSumError(ConfigError):
+class ShareError(ConfigError):
+    """Traffic-class shares are missing or not one per class."""
+
+    param = "shares"
+
+
+class ShareSumError(ShareError):
     """Traffic-class shares do not sum to 1."""
 
 
-class EmptyClassSet(ConfigError):
+class EmptyClassSet(ShareError):
     """No traffic classes configured."""
 
 
-class NonPositiveTimer(ConfigError):
-    """A per-priority timer is zero or negative."""
+class WatermarkError(ConfigError):
+    """Per-priority watermarks are missing or empty, or one is not finite
+    and >= 1."""
+
+    param = "watermarks"
+
+
+class TimerError(ConfigError):
+    """Per-priority timers are missing, or not one per watermark."""
+
+    param = "timers"
+
+
+class NonPositiveTimer(TimerError):
+    """Per-priority timers are empty, or one is zero, negative or not finite."""
+
+
+class UnknownVariant(ConfigError):
+    """A bound-rate variant other than G or GPrime."""
+
+    param = "variant"
+
+
+class UnknownKind(ConfigError):
+    """A strategy kind that build_throttle does not know."""
+
+    param = "kind"
 
 
 class TimeRegression(GapcraftError):

@@ -24,14 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, UnknownClass, UnknownPriority
-from .throttles import (
-    DecisionRecord,
-    MixedGapper,
-    RateGapper,
-    TokenBucket,
-    TokenBucketRateModel,
-)
+from .errors import ConfigError, UnknownClass, UnknownKind, UnknownPriority
+from .throttles import DecisionRecord, MixedGapper, RateGapper, TokenBucket
 from .traffic import StreamSpec, stream_columns
 from .types import CapacityProfile, Decision, Offer
 
@@ -40,16 +34,19 @@ DEFAULT_WINDOW = 10.0
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """Named strategy block of a scenario."""
+    """Named strategy block of a scenario.
+
+    A field the kind does not use is ignored; the throttle constructor
+    checks the ones it uses.
+    """
 
     name: str
-    kind: str  # token_bucket | rate_model | rate_gapper | mixed
+    kind: str  # token_bucket | rate_gapper | mixed
     watermarks: tuple[float, ...] | None = None
     timers: tuple[float, ...] | None = None
     shares: tuple[float, ...] | None = None
     variant: str = "G"
     normalize: bool = False
-    rate_segments: tuple[tuple[float, float], ...] | None = None  # r(t) override
 
 
 @dataclass(frozen=True)
@@ -74,33 +71,17 @@ class Scenario:
 def build_throttle(cfg: StrategyConfig, scenario: Scenario):
     """Construct a fresh throttle instance for one replication."""
     capacity = scenario.capacity
-    rate = (CapacityProfile(cfg.rate_segments)
-            if cfg.rate_segments is not None else capacity)
     num_classes = scenario.stream_spec.num_classes
     if cfg.kind == "token_bucket":
-        if cfg.watermarks is None:
-            raise ConfigError(f"{cfg.name}: token_bucket needs watermarks")
-        return TokenBucket(cfg.watermarks, rate)
-    if cfg.kind == "rate_model":
-        if cfg.watermarks is None or len(cfg.watermarks) != 1:
-            raise ConfigError(f"{cfg.name}: rate_model needs exactly one watermark")
-        return TokenBucketRateModel(rate.rate_at(0.0), cfg.watermarks[0])
+        return TokenBucket(cfg.watermarks, capacity)
     if cfg.kind == "rate_gapper":
-        if cfg.timers is None:
-            raise ConfigError(f"{cfg.name}: rate_gapper needs timers")
-        if cfg.shares is None:
-            raise ConfigError(f"{cfg.name}: rate_gapper needs shares")
         return RateGapper(num_classes, cfg.shares, cfg.timers, capacity,
                           variant=cfg.variant, normalize=cfg.normalize)
     if cfg.kind == "mixed":
-        if cfg.watermarks is None:
-            raise ConfigError(f"{cfg.name}: mixed needs watermarks")
-        if cfg.shares is None:
-            raise ConfigError(f"{cfg.name}: mixed needs shares")
         return MixedGapper(num_classes, cfg.shares, cfg.watermarks, capacity,
-                           rate=rate, timers=cfg.timers, variant=cfg.variant,
+                           timers=cfg.timers, variant=cfg.variant,
                            normalize=cfg.normalize)
-    raise ConfigError(f"{cfg.name}: unknown strategy kind {cfg.kind!r}")
+    raise UnknownKind(f"{cfg.name}: unknown strategy kind {cfg.kind!r}")
 
 
 @dataclass(eq=False)

@@ -2,6 +2,9 @@
 
 The schema mirrors the harness Scenario; unknown keys are rejected so typos
 fail loudly.  ``_source`` fields are free-text provenance notes and ignored.
+This module checks JSON types and shapes; the values of a strategy's
+parameters are checked by its throttle's constructor, which every strategy
+goes through at load.  Any refusal is a SchemaError naming the key.
 """
 
 from __future__ import annotations
@@ -9,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import ConfigError, ParseError, SchemaError
 from .harness import Scenario, StrategyConfig, build_throttle
 from .traffic import IntensityProfile, PriorityMix, StreamSpec
-from .types import CapacityProfile, ShareVector
+from .types import CapacityProfile
 
 _TOP_KEYS = {"_source", "seed", "replications", "trace", "window_seconds",
              "traffic", "capacity", "strategies", "requirements", "output"}
@@ -22,12 +26,8 @@ _CLASS_KEYS = {"_source", "knots"}
 _STOP_KEYS = {"offers", "duration"}
 _CAPACITY_KEYS = {"_source", "segments"}
 _STRATEGY_KEYS = {"_source", "name", "kind", "watermarks", "timers", "shares",
-                  "variant", "normalize", "rate_segments"}
+                  "variant", "normalize"}
 _REQ_KEYS = {"A", "B", "C", "_source"}
-_REQ_A_KEYS = {"window", "tolerance", "strategies", "_source"}
-_REQ_B_KEYS = {"step", "horizon", "sample_every", "class_id",
-               "min_pass_fraction", "strategies", "_source"}
-_REQ_C_KEYS = {"window", "strategies", "_source"}
 _OUTPUT_KEYS = {"report", "trace", "rates", "stream", "verdicts", "_source"}
 
 
@@ -84,73 +84,106 @@ def _integer(raw, where: str, minimum: int | None = None) -> int:
     return int(raw)
 
 
-def _positive(raw, where: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not (
-            math.isfinite(raw) and raw > 0):
-        raise SchemaError(f"{where} must be finite and > 0, got {raw!r}")
+def _boolean(raw, where: str) -> bool:
+    if not isinstance(raw, bool):
+        raise SchemaError(f"{where} must be true or false, got {raw!r}")
+    return raw
+
+
+def _finite(raw, where: str, valid, rule: str) -> float:
+    """A JSON number that is finite and passes ``valid``."""
+    try:
+        ok = not isinstance(raw, bool) and math.isfinite(raw) and valid(raw)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float
+        ok = False
+    if not ok:
+        raise SchemaError(f"{where} must be finite and {rule}, got {raw!r}")
     return float(raw)
 
 
-def _priority_params(raw, where: str, valid, rule: str) -> tuple[float, ...]:
-    """Per-priority timers or watermarks: finite values that pass ``valid``."""
-    values = _numbers(raw, where)
-    if not all(math.isfinite(x) and valid(x) for x in values):
-        raise SchemaError(f"{where}: every value must be finite and {rule}, "
-                          f"got {list(values)}")
-    return values
+def _positive(raw, where: str) -> float:
+    return _finite(raw, where, lambda x: x > 0, "> 0")
 
 
-def _shares(raw, num_classes: int, where: str) -> tuple[float, ...]:
-    """One strategy's shares, checked as a ShareVector over the traffic classes."""
-    try:
-        shares = ShareVector(_numbers(raw, f"{where}.shares"))
-    except ConfigError as exc:
-        raise SchemaError(f"{where}.shares: {exc}") from exc
-    if len(shares) != num_classes:
-        raise SchemaError(f"{where}.shares: {len(shares)} shares for "
-                          f"{num_classes} traffic classes")
-    return shares.s
+def _names(raw, where: str) -> list:
+    if not (isinstance(raw, list) and raw and all(isinstance(x, str) for x in raw)):
+        raise SchemaError(f"{where} must be a non-empty list of names, got {raw!r}")
+    return raw
 
 
-def _strategy(blk, where: str, num_classes: int) -> StrategyConfig:
+# The checks of each requirement's fields; every block may also list the
+# strategies it judges.
+_REQ_FIELDS = {
+    "A": {"window": _positive,
+          "tolerance": partial(_finite, valid=lambda x: x >= 0, rule=">= 0")},
+    "B": {"step": _positive, "horizon": _positive,
+          "sample_every": partial(_integer, minimum=1),
+          "class_id": partial(_integer, minimum=0),
+          "min_pass_fraction": partial(_finite, valid=lambda x: 0 <= x <= 1,
+                                       rule="in [0, 1]")},
+    "C": {"window": _positive},
+}
+
+
+def _strategy(blk, where: str) -> StrategyConfig:
     _reject_unknown(blk, _STRATEGY_KEYS, where)
-    watermarks = (_priority_params(blk["watermarks"], f"{where}.watermarks",
-                                   lambda w: w >= 1.0, ">= 1")
-                  if "watermarks" in blk else None)
-    timers = (_priority_params(blk["timers"], f"{where}.timers",
-                               lambda t: t > 0.0, "> 0")
-              if "timers" in blk else None)
-    kind = str(_require(blk, "kind", where))
-    if kind == "mixed" and None not in (watermarks, timers) and len(timers) != len(watermarks):
-        raise SchemaError(f"{where}.timers: {len(timers)} timers for "
-                          f"{len(watermarks)} watermarks")
-    variant = str(blk.get("variant", "G"))
-    if variant not in ("G", "GPrime"):
-        raise SchemaError(f"{where}.variant must be 'G' or 'GPrime', got {variant!r}")
+    lists = {key: _numbers(blk[key], f"{where}.{key}")
+             for key in ("watermarks", "timers", "shares") if key in blk}
     return StrategyConfig(
         name=str(_require(blk, "name", where)),
-        kind=kind,
-        watermarks=watermarks,
-        timers=timers,
-        shares=_shares(blk["shares"], num_classes, where) if "shares" in blk else None,
-        variant=variant,
-        normalize=bool(blk.get("normalize", False)),
-        rate_segments=_pairs(blk["rate_segments"], f"{where}.rate_segments")
-        if "rate_segments" in blk else None,
+        kind=str(_require(blk, "kind", where)),
+        **lists,
+        variant=str(blk.get("variant", "G")),
+        normalize=_boolean(blk.get("normalize", False), f"{where}.normalize"),
     )
 
 
 def _check_priorities(scenario: Scenario) -> None:
-    """Every strategy must build and cover every priority the stream draws."""
+    """Every strategy must build and cover every priority the stream draws.
+
+    Building runs the throttle constructor's parameter checks; a refusal
+    names the parameter it found at fault.
+    """
     n_mix = scenario.stream_spec.num_priorities
     for i, cfg in enumerate(scenario.strategies):
         try:
             have = build_throttle(cfg, scenario).num_priorities
         except ConfigError as exc:
-            raise SchemaError(f"strategies[{i}]: {exc}") from exc
+            key = f"strategies[{i}].{exc.param}" if exc.param else f"strategies[{i}]"
+            raise SchemaError(f"{key}: {exc}") from exc
         if have < n_mix:
             raise SchemaError(f"traffic.priority_mix: {n_mix} priorities, but "
                               f"strategies[{i}] ({cfg.name}) configures {have}")
+
+
+def _requirements(raw, scenario: Scenario) -> dict:
+    """The requirements block with every value checked; keys as written."""
+    _reject_unknown(raw, _REQ_KEYS, "requirements")
+    by_name = {cfg.name: cfg for cfg in scenario.strategies}
+    num_classes = scenario.stream_spec.num_classes
+    checked = {}
+    for req, fields in _REQ_FIELDS.items():
+        if req not in raw:
+            continue
+        where = f"requirements.{req}"
+        fields = {**fields, "strategies": _names}
+        _reject_unknown(raw[req], {*fields, "_source"}, where)
+        blk = {key: fields[key](value, f"{where}.{key}")
+               for key, value in raw[req].items() if key != "_source"}
+        if blk.get("class_id", 0) >= num_classes:
+            raise SchemaError(f"{where}.class_id: class {blk['class_id']} not "
+                              f"configured ({num_classes} traffic classes)")
+        names = blk.get("strategies", list(by_name))
+        unknown = [name for name in names if name not in by_name]
+        if unknown:
+            raise SchemaError(f"{where}.strategies: no strategy named {unknown}")
+        if req == "C" and num_classes > 1:
+            bare = [name for name in names if by_name[name].shares is None]
+            if bare:
+                raise SchemaError(f"{where}.strategies: {bare} carry no shares "
+                                  f"for the {num_classes} traffic classes")
+        checked[req] = blk
+    return checked
 
 
 def parse_scenario_dict(doc: dict) -> ScenarioFile:
@@ -160,7 +193,7 @@ def parse_scenario_dict(doc: dict) -> ScenarioFile:
 
     seed = _integer(doc.get("seed", 0), "seed")
     replications = _integer(doc.get("replications", 1), "replications", 1)
-    trace = bool(doc.get("trace", False))
+    trace = _boolean(doc.get("trace", False), "trace")
     window = _positive(doc.get("window_seconds", 10.0), "window_seconds")
 
     traffic = _require(doc, "traffic", "scenario")
@@ -204,14 +237,8 @@ def parse_scenario_dict(doc: dict) -> ScenarioFile:
     strat_blocks = _require(doc, "strategies", "scenario")
     if not isinstance(strat_blocks, list) or not strat_blocks:
         raise SchemaError("strategies must be a non-empty list")
-    strategies = [_strategy(blk, f"strategies[{i}]", len(profiles))
+    strategies = [_strategy(blk, f"strategies[{i}]")
                   for i, blk in enumerate(strat_blocks)]
-
-    requirements = doc.get("requirements", {})
-    _reject_unknown(requirements, _REQ_KEYS, "requirements")
-    for key, allowed in (("A", _REQ_A_KEYS), ("B", _REQ_B_KEYS), ("C", _REQ_C_KEYS)):
-        if key in requirements:
-            _reject_unknown(requirements[key], allowed, f"requirements.{key}")
 
     output = doc.get("output", {})
     _reject_unknown(output, _OUTPUT_KEYS, "output")
@@ -221,8 +248,7 @@ def parse_scenario_dict(doc: dict) -> ScenarioFile:
         replications=replications, trace=trace, window=window)
     _check_priorities(scenario)
     return ScenarioFile(scenario=scenario, seed=seed,
-                        requirements={k: v for k, v in requirements.items()
-                                      if k != "_source"},
+                        requirements=_requirements(doc.get("requirements", {}), scenario),
                         output={k: v for k, v in output.items() if k != "_source"})
 
 
@@ -250,8 +276,6 @@ def scenario_to_dict(sf: ScenarioFile) -> dict:
             blk["timers"] = list(cfg.timers)
         if cfg.shares is not None:
             blk["shares"] = list(cfg.shares)
-        if cfg.rate_segments is not None:
-            blk["rate_segments"] = [list(seg) for seg in cfg.rate_segments]
         strategies.append(blk)
     doc = {
         "seed": sf.seed,

@@ -1,11 +1,15 @@
-"""The four queue-free admission strategies.
+"""The three queue-free admission strategies.
 
-* TokenBucket          -- inverted-fill bucket with per-priority watermarks
-* TokenBucketRateModel -- the bucket rewritten as a rate variable (b = a*T)
-* RateGapper           -- rate-estimation gapping with class fairness
-* MixedGapper          -- the RateGapper core plus the bucket relaxation: the
-                          gapper test scaled by the relative fill of a bucket
-                          that drains like TokenBucket's
+* TokenBucket -- inverted-fill bucket with per-priority watermarks
+* RateGapper  -- rate-estimation gapping with class fairness
+* MixedGapper -- the RateGapper core plus the bucket relaxation: the gapper
+                 test scaled by the relative fill of a bucket that drains
+                 like TokenBucket's
+
+Each constructor is where its parameters are checked: watermarks and timers
+as PriorityParams, shares as a ShareVector with one share per class, and the
+bound-rate variant.  A refused parameter raises the ConfigError subclass
+whose ``param`` names it.  The throttle keeps them as plain float tuples.
 
 All throttles expose the same stateful surface: ``decide(offer)`` returns a
 DecisionRecord and commits the state change; ``admit(t, class_id, priority)``
@@ -26,15 +30,20 @@ from typing import NamedTuple
 
 from .errors import (
     NonPositiveStep,
+    ShareError,
     TimeRegression,
+    TimerError,
     UnknownClass,
     UnknownPriority,
+    UnknownVariant,
+    WatermarkError,
 )
 from .estimator import forgetting
-from .types import CapacityProfile, Decision, Offer
+from .types import CapacityProfile, Decision, Offer, PriorityParams, ShareVector
 
 _DENOM_EPS = 1e-12
 _VERDICT = (Decision.REJECT, Decision.ADMIT)  # indexed by the admit bool
+VARIANTS = ("G", "GPrime")
 
 
 class DecisionRecord(NamedTuple):
@@ -96,7 +105,7 @@ def compute_bound_rates(rho_hats, shares, c: float, variant: str = "G",
     guaranteed to equal c).  ``normalize`` rescales the over-share surplus
     so the total is exactly c; off by default.
     """
-    if variant not in ("G", "GPrime"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown bound-rate variant {variant!r}")
     n = len(rho_hats)
     u1 = 0.0
@@ -144,7 +153,9 @@ class TokenBucket:
     kind = "token_bucket"
 
     def __init__(self, watermarks, rate: CapacityProfile):
-        self.watermarks = tuple(float(w) for w in watermarks)
+        if watermarks is None:
+            raise WatermarkError("token_bucket needs watermarks")
+        self.watermarks = PriorityParams(watermarks).watermarks
         self.rate = rate
         self.b = 0.0
         self.last_time = 0.0
@@ -178,53 +189,6 @@ class TokenBucket:
         return DecisionRecord(offer, _VERDICT[admitted], b=self.b)
 
 
-class TokenBucketRateModel:
-    """Token bucket restated as a rate variable a_tilde with T = W/r.
-
-    Defined for a constant token rate r; the decision sequence matches
-    TokenBucket((W,), constant r) exactly, with b = a_tilde * T.  Its
-    DecisionRecord carries the verdict only.
-    """
-
-    kind = "rate_model"
-
-    def __init__(self, rate: float, watermark: float):
-        if rate <= 0.0:
-            raise ValueError("rate must be positive")
-        self.r = float(rate)
-        self.W = float(watermark)
-        self.T = self.W / self.r
-        self.a_tilde = 0.0
-        self.last_time = 0.0
-
-    num_priorities = 1
-
-    def clone(self) -> "TokenBucketRateModel":
-        other = TokenBucketRateModel.__new__(TokenBucketRateModel)
-        other.r, other.W, other.T = self.r, self.W, self.T
-        other.a_tilde = self.a_tilde
-        other.last_time = self.last_time
-        return other
-
-    def admit(self, t: float, class_id: int = 0, priority: int = 0) -> bool:
-        dt = t - self.last_time
-        if not 0.0 <= dt < inf:
-            raise _time_error(t, self.last_time)
-        T = self.T
-        decayed = (T * self.a_tilde - dt * self.r) / T
-        if decayed < 0.0:
-            decayed = 0.0
-        provisional = 1.0 / T + decayed
-        admitted = provisional <= self.r
-        self.a_tilde = provisional if admitted else decayed
-        self.last_time = t
-        return admitted
-
-    def decide(self, offer: Offer) -> DecisionRecord:
-        admitted = self.admit(offer.arrival, offer.class_id, offer.priority)
-        return DecisionRecord(offer, _VERDICT[admitted])
-
-
 class RateGapper:
     """Rate-estimation call gapping with class fairness.
 
@@ -244,15 +208,30 @@ class RateGapper:
     def __init__(self, num_classes: int, shares, timers,
                  capacity: CapacityProfile, variant: str = "G",
                  normalize: bool = False):
+        if timers is None:
+            raise TimerError("rate_gapper needs timers")
+        self._configure(num_classes, shares, PriorityParams(timers=timers),
+                        capacity, variant, normalize)
+        self.b = None
+
+    def _configure(self, num_classes: int, shares, params: PriorityParams,
+                   capacity: CapacityProfile, variant: str, normalize: bool):
+        """Check the parameters both gappers share and set the zero state."""
+        if shares is None:
+            raise ShareError(f"{self.kind} needs shares")
+        shares = ShareVector(shares)
+        if len(shares) != num_classes:
+            raise ShareError(f"{len(shares)} shares for {num_classes} traffic classes")
+        if variant not in VARIANTS:
+            raise UnknownVariant(f"variant must be one of {VARIANTS}, got {variant!r}")
         self.num_classes = int(num_classes)
-        self.shares = tuple(float(s) for s in shares)
-        self.timers = tuple(float(x) for x in timers) if timers is not None else None
+        self.shares = shares.s
+        self.timers = params.timers
+        self.watermarks = params.watermarks
         self.capacity = capacity
         self.variant = variant
         self.normalize = normalize
-        self.num_priorities = len(self.timers or ())
-        self.watermarks = None
-        self.b = None
+        self.num_priorities = len(params)
         self.rho = [0.0] * self.num_classes
         self.a_hat = [0.0] * self.num_classes
         self.last_time = 0.0
@@ -282,8 +261,8 @@ class RateGapper:
             relax = 1.0
         else:
             w_j = watermarks[priority]
-            T = self.timers[priority] if self.timers is not None else w_j / self.rate.rate_at(t)
-            rejected, provisional = drain(self.b, self.rate.rate_at(last), dt)
+            T = self.timers[priority] if self.timers is not None else w_j / self.capacity.rate_at(t)
+            rejected, provisional = drain(self.b, self.capacity.rate_at(last), dt)
             if provisional > self.w_max:
                 provisional = self.w_max
             relax = provisional / w_j
@@ -325,21 +304,21 @@ class MixedGapper(RateGapper):
     The RateGapper core with the bucket relaxation on: the admission test is
     (b/W_j) * alpha_hat_k <= g_k, with b the provisional fill of a bucket
     that drains like TokenBucket's.  The fill used in the test and committed
-    on admission is clamped to W_max = max_j W_j.  Timers default to
-    T_j = W_j / r(t); pass explicit timers to decouple them from the
-    watermarks.
+    on admission is clamped to W_max = max_j W_j.  The bucket drains at the
+    capacity c(t).  Timers default to T_j = W_j / c(t); pass explicit timers
+    to decouple them from the watermarks.
     """
 
     kind = "mixed"
 
     def __init__(self, num_classes: int, shares, watermarks,
-                 capacity: CapacityProfile, rate: CapacityProfile | None = None,
-                 timers=None, variant: str = "G", normalize: bool = False):
-        super().__init__(num_classes, shares, timers, capacity, variant, normalize)
-        self.watermarks = tuple(float(w) for w in watermarks)
-        self.num_priorities = len(self.watermarks)
+                 capacity: CapacityProfile, timers=None, variant: str = "G",
+                 normalize: bool = False):
+        if watermarks is None:
+            raise WatermarkError("mixed needs watermarks")
+        self._configure(num_classes, shares, PriorityParams(watermarks, timers),
+                        capacity, variant, normalize)
         self.w_max = max(self.watermarks)
-        self.rate = rate if rate is not None else capacity
         self.b = 0.0
 
 

@@ -16,6 +16,8 @@ from .errors import (
     EmptyClassSet,
     NonPositiveTimer,
     ShareSumError,
+    TimerError,
+    WatermarkError,
 )
 
 SHARE_SUM_TOL = 1e-9
@@ -133,35 +135,35 @@ class ShareVector:
 class PriorityParams:
     """Per-priority watermarks W_j (tokens) and estimator timers T_j (seconds).
 
-    Priority 0 is highest; conventionally W decreases and T increases with
-    the priority index (larger watermark and faster forgetting favour the
-    high priorities).
+    Priority 0 is highest; a larger watermark and a longer timer (a smaller
+    impulse 1/T) favour a priority, so conventionally both decrease with the
+    priority index.  Either field may be None (absent); a given one is
+    non-empty, and when both are given there is one timer per watermark.
     """
 
-    watermarks: tuple[float, ...]
-    timers: tuple[float, ...]
+    watermarks: tuple[float, ...] | None = None
+    timers: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.watermarks)
-        t = tuple(float(x) for x in self.timers)
-        if not w or len(w) != len(t):
-            raise ConfigError("watermarks and timers must be non-empty and equally long")
-        for x in w:
-            if not (math.isfinite(x) and x >= 1.0):
-                raise ConfigError(f"watermark {x} must be >= 1")
-        for x in t:
-            if not (math.isfinite(x) and x > 0.0):
-                raise NonPositiveTimer(f"timer {x} must be > 0")
+        w = _per_priority(self.watermarks, WatermarkError, lambda x: x >= 1.0, ">= 1")
+        t = _per_priority(self.timers, NonPositiveTimer, lambda x: x > 0.0, "> 0")
+        if w is None and t is None:
+            raise ConfigError("priority parameters need watermarks or timers")
+        if w is not None and t is not None and len(w) != len(t):
+            raise TimerError(f"{len(t)} timers for {len(w)} watermarks")
         object.__setattr__(self, "watermarks", w)
         object.__setattr__(self, "timers", t)
 
-    @classmethod
-    def from_capacity(cls, watermarks, c: float) -> "PriorityParams":
-        """Derive timers as T_j = W_j / c at configuration time."""
-        if c <= 0.0:
-            raise ConfigError("capacity must be positive")
-        w = tuple(float(x) for x in watermarks)
-        return cls(w, tuple(x / c for x in w))
-
     def __len__(self) -> int:
-        return len(self.watermarks)
+        return len(self.watermarks if self.watermarks is not None else self.timers)
+
+
+def _per_priority(values, error, valid, rule: str):
+    """One PriorityParams field as floats, None if absent."""
+    if values is None:
+        return None
+    out = tuple(float(x) for x in values)
+    if not out or not all(math.isfinite(x) and valid(x) for x in out):
+        raise error(f"{error.param} must be non-empty, each finite and {rule}, "
+                    f"got {list(out)}")
+    return out

@@ -21,11 +21,11 @@ from gapcraft.throttles import (
     MixedGapper,
     RateGapper,
     TokenBucket,
-    TokenBucketRateModel,
     compute_bound_rates,
 )
 from gapcraft.traffic import IntensityProfile, PriorityMix, StreamSpec, generate_stream
 from gapcraft.types import CapacityProfile
+from oracles import TokenBucketRateModel
 
 SCENARIOS = resources.files("gapcraft") / "scenarios"
 

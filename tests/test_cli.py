@@ -1,9 +1,14 @@
+import copy
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gapcraft.cli import main
 from gapcraft.errors import SchemaError
@@ -133,6 +138,13 @@ def _set(path, value):
     return edit
 
 
+def _two_classes_c_judges_bucket(doc):
+    doc["traffic"]["classes"] *= 2
+    for blk in doc["strategies"][1:]:
+        blk["shares"] = [0.5, 0.5]
+    doc["requirements"] = {"C": {"strategies": ["token_bucket"]}}
+
+
 # (command, edit of table1_row3, key the error must name)
 BAD_FILES = [
     ("simulate", _set(("strategies", 1, "timers"), [0.0, 1.0]), "strategies[1].timers"),
@@ -155,6 +167,25 @@ BAD_FILES = [
     ("simulate", _set(("traffic", "classes", 0, "knots"), [[0.0]]),
      "traffic.classes[0].knots"),
     ("simulate", _set(("capacity", "segments"), [[0.0, "fast"]]), "capacity.segments"),
+    ("simulate", _set(("strategies", 0, "kind"), "rate_model"), "strategies[0].kind"),
+    ("simulate", _set(("strategies", 0, "rate_segments"), [[0.0, 7.0]]), "rate_segments"),
+    ("simulate", _set(("strategies", 1, "normalize"), "false"), "strategies[1].normalize"),
+    ("simulate", _set(("trace",), 1), "trace"),
+    ("check", _set(("requirements",), {"C": {"strategies": ["rate_gaping"]}}),
+     "requirements.C.strategies"),
+    ("check", _set(("requirements",), {"B": {"sample_every": 0}}),
+     "requirements.B.sample_every"),
+    ("check", _set(("requirements",), {"A": {"window": "ten"}}), "requirements.A.window"),
+    ("check", _set(("requirements",), {"A": {"window": 0}}), "requirements.A.window"),
+    ("check", _set(("requirements",), {"A": {"tolerance": -0.1}}),
+     "requirements.A.tolerance"),
+    ("check", _set(("requirements",), {"B": {"step": 0}}), "requirements.B.step"),
+    ("check", _set(("requirements",), {"B": {"horizon": math.inf}}),
+     "requirements.B.horizon"),
+    ("check", _set(("requirements",), {"B": {"class_id": 9}}), "requirements.B.class_id"),
+    ("check", _set(("requirements",), {"B": {"min_pass_fraction": 1.5}}),
+     "requirements.B.min_pass_fraction"),
+    ("simulate", _two_classes_c_judges_bucket, "requirements.C.strategies"),
 ]
 
 
@@ -177,6 +208,73 @@ class TestBadScenarioFiles:
         for seed in (0, 1, 99):
             parse_scenario_dict(workloads.fairness_doc(seed))
             parse_scenario_dict(workloads.diagnose_doc(seed))
+
+
+# Every requirement, so that the fuzz below reaches each field's check.
+REQUIREMENTS = {
+    "A": {"window": 10.0, "tolerance": 0.05},
+    "B": {"step": 0.25, "horizon": 5.0, "sample_every": 5, "class_id": 0,
+          "min_pass_fraction": 0.95},
+    "C": {"window": 10.0, "strategies": ["rate_gapping", "mixed"]},
+}
+POOL = [None, True, "x", [], {}, -1, 0, 0.5]
+
+
+def _entries(node):
+    """(container, key, value) for every value nested in a JSON document."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return
+    for key, child in items:
+        yield node, key, child
+        yield from _entries(child)
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    """table1_row3 with a requirements block, after one to three mutations:
+    delete a key or list element, add an unknown key, or replace a value
+    with one from POOL or with a list one element too short or too long.
+
+    The pool leaves out values that only ask for more work (large counts,
+    long horizons, tiny steps).  It also leaves out near-zero positive
+    intensities: a count-stopped stream whose intensity falls near zero ends
+    at a huge time, and StrategyResult.windowed_rates allocates one bin per
+    window up to that time, a defect still open.
+    """
+    doc = _row3(_set(("requirements",), copy.deepcopy(REQUIREMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        entries = list(_entries(doc))
+        op = draw(st.sampled_from(["delete", "add", "replace"]))
+        if op == "add":
+            blocks = [doc] + [v for _, _, v in entries if isinstance(v, dict)]
+            draw(st.sampled_from(blocks))["unknown_key"] = 1
+            continue
+        container, key, value = draw(st.sampled_from(entries))
+        if op == "delete":
+            del container[key]
+            continue
+        pool = POOL + ([value[:-1], value + value[-1:]]
+                       if isinstance(value, list) and value else [])
+        container[key] = copy.deepcopy(draw(st.sampled_from(pool)))
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzzed_scenarios())
+def test_fuzzed_scenario_files_exit_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        for command in ("simulate", "check"):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                rc = main([command, str(path)])
+            assert rc in (0, 1, 2), (command, rc, err.getvalue())
+            assert "Traceback" not in err.getvalue()
 
 
 class TestSimulate:

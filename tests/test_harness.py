@@ -18,7 +18,7 @@ from gapcraft.harness import (
     run_stream,
     summarize,
 )
-from gapcraft.throttles import MixedGapper, RateGapper, TokenBucket, TokenBucketRateModel
+from gapcraft.throttles import MixedGapper, RateGapper, TokenBucket
 from gapcraft.traffic import (
     IntensityProfile,
     PriorityMix,
@@ -27,6 +27,7 @@ from gapcraft.traffic import (
     stream_columns,
 )
 from gapcraft.types import CapacityProfile, Offer
+from oracles import TokenBucketRateModel
 
 
 def make_scenario(strategies=None, replications=1, trace=False, rate=2.0,
@@ -65,9 +66,6 @@ class TestBuildThrottle:
         assert isinstance(build_throttle(
             StrategyConfig("a", "token_bucket", watermarks=(10.0,)), sc), TokenBucket)
         assert isinstance(build_throttle(
-            StrategyConfig("b", "rate_model", watermarks=(10.0,)), sc),
-            TokenBucketRateModel)
-        assert isinstance(build_throttle(
             StrategyConfig("c", "rate_gapper", timers=(1.0,), shares=(1.0,)), sc),
             RateGapper)
         assert isinstance(build_throttle(
@@ -76,7 +74,7 @@ class TestBuildThrottle:
 
     @pytest.mark.parametrize("cfg", [
         StrategyConfig("a", "token_bucket"),
-        StrategyConfig("b", "rate_model", watermarks=(10.0, 5.0)),
+        StrategyConfig("b", "rate_model", watermarks=(10.0,)),  # kind removed
         StrategyConfig("c", "rate_gapper", timers=(1.0,)),
         StrategyConfig("d", "rate_gapper", shares=(1.0,)),
         StrategyConfig("e", "mixed", shares=(1.0,)),
@@ -86,12 +84,6 @@ class TestBuildThrottle:
     def test_missing_params(self, cfg):
         with pytest.raises(ConfigError):
             build_throttle(cfg, make_scenario())
-
-    def test_rate_override(self):
-        cfg = StrategyConfig("a", "token_bucket", watermarks=(10.0,),
-                             rate_segments=((0.0, 7.0),))
-        tb = build_throttle(cfg, make_scenario())
-        assert tb.rate.rate_at(0.0) == 7.0
 
 
 class TestRunStream:
@@ -286,9 +278,9 @@ def _weights(draw, n):
 
 @st.composite
 def tally_cases(draw):
-    kind = draw(st.sampled_from(["token_bucket", "rate_model", "rate_gapper", "mixed"]))
+    kind = draw(st.sampled_from(["token_bucket", "rate_gapper", "mixed"]))
     nc = draw(st.integers(1, 8))
-    nj = 1 if kind == "rate_model" else draw(st.integers(1, 3))
+    nj = draw(st.integers(1, 3))
     profiles = tuple(
         IntensityProfile(((0.0, draw(st.floats(0.1, 4.0))),
                           (draw(st.floats(1.0, 50.0)), draw(st.floats(0.1, 4.0)))))
@@ -305,7 +297,7 @@ def tally_cases(draw):
     watermarks = tuple(draw(st.floats(1.0, 20.0)) for _ in range(nj))
     timers = tuple(draw(st.floats(0.05, 5.0)) for _ in range(nj))
     cfg = StrategyConfig(
-        "s", kind, watermarks=watermarks[:1] if kind == "rate_model" else watermarks,
+        "s", kind, watermarks=watermarks,
         timers=None if kind == "mixed" and draw(st.booleans()) else timers,
         shares=_weights(draw, nc), variant=draw(st.sampled_from(["G", "GPrime"])),
         normalize=draw(st.booleans()))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gapcraft.errors import (
+    ConfigError,
     NonPositiveStep,
     TimeRegression,
     UnknownClass,
@@ -14,13 +15,13 @@ from gapcraft.throttles import (
     MixedGapper,
     RateGapper,
     TokenBucket,
-    TokenBucketRateModel,
     compute_bound_rates,
     compute_used_capacity,
     probe_recovery_times,
 )
 from gapcraft.traffic import IntensityProfile, PriorityMix, StreamSpec, generate_stream
 from gapcraft.types import CapacityProfile, Decision
+from oracles import TokenBucketRateModel
 
 C1 = CapacityProfile.constant(1.0)
 
@@ -353,6 +354,41 @@ class TestMixedGapper:
         assert mx.last_time == 0.0
 
 
+# (constructor call, the parameter its ConfigError must name)
+BAD_CONSTRUCTIONS = {
+    "rate_gapper-timer-0": (lambda: RateGapper(1, (1.0,), (0.0,), C1), "timers"),
+    "rate_gapper-timer-negative": (lambda: RateGapper(1, (1.0,), (-1.0,), C1), "timers"),
+    "rate_gapper-timer-inf": (lambda: RateGapper(1, (1.0,), (math.inf,), C1), "timers"),
+    "rate_gapper-timers-none": (lambda: RateGapper(1, (1.0,), None, C1), "timers"),
+    "rate_gapper-timers-empty": (lambda: RateGapper(1, (1.0,), (), C1), "timers"),
+    "rate_gapper-shares-count": (lambda: RateGapper(2, (1.0,), (1.0,), C1), "shares"),
+    "rate_gapper-shares-sum": (lambda: RateGapper(1, (0.5,), (1.0,), C1), "shares"),
+    "rate_gapper-shares-none": (lambda: RateGapper(1, None, (1.0,), C1), "shares"),
+    "rate_gapper-variant": (
+        lambda: RateGapper(1, (1.0,), (1.0,), C1, variant="H"), "variant"),
+    "mixed-timers-count": (
+        lambda: MixedGapper(1, (1.0,), (10.0, 5.0), C1, timers=(1.0,)), "timers"),
+    "mixed-watermark-0": (lambda: MixedGapper(1, (1.0,), (0.0,), C1), "watermarks"),
+    "mixed-watermarks-none": (lambda: MixedGapper(1, (1.0,), None, C1), "watermarks"),
+    "mixed-shares-count": (lambda: MixedGapper(1, (0.5, 0.5), (10.0,), C1), "shares"),
+    "mixed-variant": (
+        lambda: MixedGapper(1, (1.0,), (10.0,), C1, variant="GPrim"), "variant"),
+    "token_bucket-watermark-nan": (lambda: TokenBucket((math.nan,), C1), "watermarks"),
+    "token_bucket-watermark-0": (lambda: TokenBucket((0.0,), C1), "watermarks"),
+    "token_bucket-watermarks-empty": (lambda: TokenBucket((), C1), "watermarks"),
+    "token_bucket-watermarks-none": (lambda: TokenBucket(None, C1), "watermarks"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONSTRUCTIONS))
+def test_constructor_refuses_bad_parameter(case):
+    build, param = BAD_CONSTRUCTIONS[case]
+    with pytest.raises(ConfigError) as info:
+        build()
+    assert type(info.value) is not ConfigError
+    assert info.value.param == param
+
+
 THROTTLES = {
     "token_bucket": lambda: TokenBucket((10.0,), C1),
     "rate_model": lambda: TokenBucketRateModel(1.0, 10.0),
@@ -406,8 +442,8 @@ def test_gapper_estimators_follow_scalar_recursion(run):
     t = 0.0
     for gap, k, j in events:
         t += gap
-        if gapper.timers is None:  # capacity-coupled T_j = W_j / r(t)
-            T = gapper.watermarks[j] / gapper.rate.rate_at(t)
+        if gapper.timers is None:  # capacity-coupled T_j = W_j / c(t)
+            T = gapper.watermarks[j] / gapper.capacity.rate_at(t)
         else:
             T = gapper.timers[j]
         rho, a_hat = list(gapper.rho), list(gapper.a_hat)

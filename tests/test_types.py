@@ -118,13 +118,11 @@ class TestPriorityParams:
         p = PriorityParams((15.0, 10.0), (0.15, 0.10))
         assert len(p) == 2
 
-    def test_from_capacity_couples_timers(self):
-        p = PriorityParams.from_capacity((20.0, 10.0), 10.0)
-        assert p.timers == (2.0, 1.0)
-
-    def test_from_capacity_bad_c(self):
+    def test_either_field_may_be_absent(self):
+        assert len(PriorityParams(timers=(2.0, 1.0))) == 2
+        assert PriorityParams((10.0,)).timers is None
         with pytest.raises(ConfigError):
-            PriorityParams.from_capacity((10.0,), 0.0)
+            PriorityParams()
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
