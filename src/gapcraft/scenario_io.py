@@ -4,7 +4,8 @@ The schema mirrors the harness Scenario; unknown keys are rejected so typos
 fail loudly.  ``_source`` fields are free-text provenance notes and ignored.
 This module checks JSON types and shapes; the values of a strategy's
 parameters are checked by its throttle's constructor, which every strategy
-goes through at load.  Any refusal is a SchemaError naming the key.
+goes through at load, and given shares by ``types.class_shares`` for every
+kind.  Any refusal is a SchemaError naming the key.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import partial
 from .errors import ConfigError, ParseError, SchemaError
 from .harness import Scenario, StrategyConfig, build_throttle
 from .traffic import IntensityProfile, PriorityMix, StreamSpec
-from .types import CapacityProfile
+from .types import CapacityProfile, class_shares
 
 _TOP_KEYS = {"_source", "seed", "replications", "trace", "window_seconds",
              "traffic", "capacity", "strategies", "requirements", "output"}
@@ -142,12 +143,17 @@ def _check_priorities(scenario: Scenario) -> None:
     """Every strategy must build and cover every priority the stream draws.
 
     Building runs the throttle constructor's parameter checks; a refusal
-    names the parameter it found at fault.
+    names the parameter it found at fault.  Given shares are checked for
+    every kind, since Req-C judges a strategy by them even where its
+    throttle ignores them.
     """
     n_mix = scenario.stream_spec.num_priorities
+    num_classes = scenario.stream_spec.num_classes
     for i, cfg in enumerate(scenario.strategies):
         try:
             have = build_throttle(cfg, scenario).num_priorities
+            if cfg.shares is not None:
+                class_shares(cfg.shares, num_classes)
         except ConfigError as exc:
             key = f"strategies[{i}].{exc.param}" if exc.param else f"strategies[{i}]"
             raise SchemaError(f"{key}: {exc}") from exc

@@ -30,7 +30,6 @@ from typing import NamedTuple
 
 from .errors import (
     NonPositiveStep,
-    ShareError,
     TimeRegression,
     TimerError,
     UnknownClass,
@@ -39,7 +38,7 @@ from .errors import (
     WatermarkError,
 )
 from .estimator import forgetting
-from .types import CapacityProfile, Decision, Offer, PriorityParams, ShareVector
+from .types import CapacityProfile, Decision, Offer, PriorityParams, class_shares
 
 _DENOM_EPS = 1e-12
 _VERDICT = (Decision.REJECT, Decision.ADMIT)  # indexed by the admit bool
@@ -217,15 +216,11 @@ class RateGapper:
     def _configure(self, num_classes: int, shares, params: PriorityParams,
                    capacity: CapacityProfile, variant: str, normalize: bool):
         """Check the parameters both gappers share and set the zero state."""
-        if shares is None:
-            raise ShareError(f"{self.kind} needs shares")
-        shares = ShareVector(shares)
-        if len(shares) != num_classes:
-            raise ShareError(f"{len(shares)} shares for {num_classes} traffic classes")
+        shares = class_shares(shares, num_classes)
         if variant not in VARIANTS:
             raise UnknownVariant(f"variant must be one of {VARIANTS}, got {variant!r}")
         self.num_classes = int(num_classes)
-        self.shares = shares.s
+        self.shares = shares
         self.timers = params.timers
         self.watermarks = params.watermarks
         self.capacity = capacity
@@ -255,13 +250,14 @@ class RateGapper:
             raise UnknownClass(f"class {class_id} not configured")
         if not 0 <= priority < self.num_priorities:
             raise UnknownPriority(f"priority {priority} not configured")
+        c = self.capacity.rate_at(t)
         watermarks = self.watermarks
         if watermarks is None:
             T = self.timers[priority]
             relax = 1.0
         else:
             w_j = watermarks[priority]
-            T = self.timers[priority] if self.timers is not None else w_j / self.capacity.rate_at(t)
+            T = self.timers[priority] if self.timers is not None else w_j / c
             rejected, provisional = drain(self.b, self.capacity.rate_at(last), dt)
             if provisional > self.w_max:
                 provisional = self.w_max
@@ -275,7 +271,6 @@ class RateGapper:
             a_hat[i] *= decay
         rho[class_id] += impulse
         alpha_k = a_hat[class_id] + impulse
-        c = self.capacity.rate_at(t)
         g = compute_bound_rates(rho, self.shares, c, self.variant, self.normalize)
         admitted = relax * alpha_k <= g[class_id]
         if admitted:

@@ -15,6 +15,7 @@ from .errors import (
     ConfigError,
     EmptyClassSet,
     NonPositiveTimer,
+    ShareError,
     ShareSumError,
     TimerError,
     WatermarkError,
@@ -129,6 +130,16 @@ class ShareVector:
 
     def __getitem__(self, i: int) -> float:
         return self.s[i]
+
+
+def class_shares(shares, num_classes: int) -> tuple[float, ...]:
+    """``shares`` as floats, checked as a ShareVector with one per class."""
+    if shares is None:
+        raise ShareError("shares are missing")
+    checked = ShareVector(shares)
+    if len(checked) != num_classes:
+        raise ShareError(f"{len(checked)} shares for {num_classes} traffic classes")
+    return checked.s
 
 
 @dataclass(frozen=True)

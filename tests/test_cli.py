@@ -4,6 +4,7 @@ import json
 import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -138,10 +139,17 @@ def _set(path, value):
     return edit
 
 
-def _two_classes_c_judges_bucket(doc):
+def _two_classes_c_judges_bucket(doc, bucket_shares=None):
     doc["traffic"]["classes"] *= 2
     for blk in doc["strategies"][1:]:
         blk["shares"] = [0.5, 0.5]
+    if bucket_shares is not None:
+        doc["strategies"][0]["shares"] = bucket_shares
+    doc["requirements"] = {"C": {"strategies": ["token_bucket"]}}
+
+
+def _one_class_c_judges_bucket(doc):
+    doc["strategies"][0]["shares"] = [0.5]
     doc["requirements"] = {"C": {"strategies": ["token_bucket"]}}
 
 
@@ -186,6 +194,12 @@ BAD_FILES = [
     ("check", _set(("requirements",), {"B": {"min_pass_fraction": 1.5}}),
      "requirements.B.min_pass_fraction"),
     ("simulate", _two_classes_c_judges_bucket, "requirements.C.strategies"),
+    # a token bucket ignores shares, but Req-C judges it by them
+    ("check", partial(_two_classes_c_judges_bucket, bucket_shares=[0.2]),
+     "strategies[0].shares"),
+    ("check", partial(_two_classes_c_judges_bucket, bucket_shares=[0.3, 0.3]),
+     "strategies[0].shares"),
+    ("check", _one_class_c_judges_bucket, "strategies[0].shares"),
 ]
 
 
@@ -215,7 +229,7 @@ REQUIREMENTS = {
     "A": {"window": 10.0, "tolerance": 0.05},
     "B": {"step": 0.25, "horizon": 5.0, "sample_every": 5, "class_id": 0,
           "min_pass_fraction": 0.95},
-    "C": {"window": 10.0, "strategies": ["rate_gapping", "mixed"]},
+    "C": {"window": 10.0, "strategies": ["token_bucket", "rate_gapping", "mixed"]},
 }
 POOL = [None, True, "x", [], {}, -1, 0, 0.5]
 
@@ -235,7 +249,8 @@ def _entries(node):
 
 @st.composite
 def fuzzed_scenarios(draw):
-    """table1_row3 with a requirements block, after one to three mutations:
+    """table1_row3 with a requirements block and shares on its token bucket
+    (which Req-C judges by them), after one to three mutations:
     delete a key or list element, add an unknown key, or replace a value
     with one from POOL or with a list one element too short or too long.
 
@@ -246,6 +261,7 @@ def fuzzed_scenarios(draw):
     window up to that time, a defect still open.
     """
     doc = _row3(_set(("requirements",), copy.deepcopy(REQUIREMENTS)))
+    doc["strategies"][0]["shares"] = [1.0]
     for _ in range(draw(st.integers(1, 3))):
         entries = list(_entries(doc))
         op = draw(st.sampled_from(["delete", "add", "replace"]))
