@@ -4,6 +4,10 @@ Req-A: windowed admission rate stays bounded by capacity (statistical).
 Req-B: post-rejection recovery times are ordered by priority.
 Req-C: classes offering at or under their agreed share are never rejected.
 
+Req-A and Req-C use ``StrategyResult.window_grid`` and read c(t) only
+through CapacityProfile: a window's mean capacity is one ``integral``
+difference, and Req-C tests one grid of window edges, knots and breakpoints.
+
 Also hosts the Erlang-B blocking probability and the closed-form
 arrival-sampling bias of the intensity estimator.
 """
@@ -29,26 +33,11 @@ class RequirementVerdict:
     evidence: dict = field(default_factory=dict)
 
 
-def _mean_capacity(capacity: CapacityProfile, t0: float, t1: float) -> float:
-    """Time-average of the piecewise-constant capacity over [t0, t1)."""
-    if t1 <= t0:
-        return capacity.rate_at(t0)
-    total = 0.0
-    starts = [t for t, _ in capacity.segments]
-    rates = [r for _, r in capacity.segments]
-    for i, (seg_start, rate) in enumerate(zip(starts, rates)):
-        seg_end = starts[i + 1] if i + 1 < len(starts) else math.inf
-        lo = max(t0, seg_start)
-        hi = min(t1, seg_end)
-        if hi > lo:
-            total += rate * (hi - lo)
-    return total / (t1 - t0)
-
-
 def check_req_a(result: StrategyResult, capacity: CapacityProfile,
                 window: float = 10.0, tolerance: float = 0.05,
                 steady_from: float | None = None) -> RequirementVerdict:
-    """Pass iff every steady-state window's admission rate is <= c(1+tol).
+    """Pass iff every steady-state window's admission rate is <= c(1+tol),
+    with c the window's mean capacity.
 
     The transient start of a run is excluded: windows beginning before
     ``steady_from`` (default: half the run) are reported but not judged.
@@ -57,28 +46,19 @@ def check_req_a(result: StrategyResult, capacity: CapacityProfile,
         raise DomainError("window must be positive")
     starts, agg, _ = result.windowed_rates(window)
     cut = steady_from if steady_from is not None else result.end_time / 2.0
-    max_rate = 0.0
-    max_t = 0.0
-    violations = 0
-    checked = 0
-    steady_rates = []
-    for t, rate in zip(starts, agg):
-        if rate > max_rate:
-            max_rate, max_t = rate, t
-        if t < cut:
-            continue
-        checked += 1
-        steady_rates.append(rate)
-        limit = _mean_capacity(capacity, t, t + window) * (1.0 + tolerance)
-        if rate > limit:
-            violations += 1
+    edges = np.arange(len(starts) + 1) * window
+    limits = np.diff(capacity.integral(edges)) / window * (1.0 + tolerance)
+    steady = np.array(starts) >= cut
+    violations = int(np.count_nonzero(steady & (np.array(agg) > limits)))
+    steady_rates = [rate for rate, judged in zip(agg, steady) if judged]
+    worst = int(np.argmax(agg))
     return RequirementVerdict(
         "A",
         passed=violations == 0,
         evidence={
-            "max_windowed_rate": max_rate,
-            "max_windowed_rate_time": max_t,
-            "windows_checked": checked,
+            "max_windowed_rate": agg[worst],
+            "max_windowed_rate_time": starts[worst],
+            "windows_checked": len(steady_rates),
             "violations": violations,
             "steady_mean_rate": (sum(steady_rates) / len(steady_rates)
                                  if steady_rates else 0.0),
@@ -140,40 +120,37 @@ def check_req_c(result: StrategyResult, shares, capacity: CapacityProfile,
     if window <= 0.0:
         raise DomainError("window must be positive")
     profiles = tuple(profiles)
-    end = result.end_time
-    n_win = max(1, int(math.ceil(end / window))) if end > 0 else 0
-    protected = [_protected_windows(profiles[k], shares[k], capacity, window, n_win)
-                 for k in range(len(profiles))]
-    violations = [0] * len(profiles)
-    if n_win:
-        reject = ~result.decisions
-        classes = result.class_id[reject]
-        hit = np.array(protected)[classes, result.window_index(window, n_win)[reject]]
-        violations = np.bincount(classes[hit], minlength=len(profiles)).tolist()
-    total = sum(violations)
+    n_win, index = result.window_grid(window)
+    edges = np.arange(n_win + 1) * window
+    # a run that ends at t = 0 spans no window, so it has none protected
+    protected = np.array([_protected_windows(profiles[k], shares[k], capacity, edges)
+                          for k in range(len(profiles))]) & (result.end_time > 0.0)
+    reject = ~result.decisions
+    classes = result.class_id[reject]
+    hit = protected[classes, index[reject]]
+    violations = np.bincount(classes[hit], minlength=len(profiles)).tolist()
     return RequirementVerdict(
         "C",
-        passed=total == 0,
+        passed=sum(violations) == 0,
         evidence={
             "violations_by_class": violations,
-            "protected_windows_by_class": [sum(p) for p in protected],
+            "protected_windows_by_class": protected.sum(axis=1).tolist(),
             "window": window,
         },
     )
 
 
 def _protected_windows(profile: IntensityProfile, share: float,
-                       capacity: CapacityProfile, window: float, n_win: int):
-    flags = []
-    for i in range(n_win):
-        t0, t1 = i * window, (i + 1) * window
-        checkpoints = {t0, t1}
-        checkpoints.update(t for t, _ in profile.knots if t0 < t < t1)
-        checkpoints.update(t for t, _ in capacity.segments if t0 < t < t1)
-        ok = all(float(profile.rate_at(t)) <= share * capacity.rate_at(t) + 1e-12
-                 for t in sorted(checkpoints))
-        flags.append(ok)
-    return flags
+                       capacity: CapacityProfile, edges: np.ndarray) -> np.ndarray:
+    """Protected flags of the windows between consecutive ``edges``: as lambda
+    is piecewise linear and c piecewise constant, lambda <= share * c + 1e-12
+    is tested at the window's edges, knots and capacity breakpoints."""
+    points = np.concatenate(([t for t, _ in profile.knots], capacity.breakpoints))
+    grid = np.union1d(edges, points[(points > 0.0) & (points < edges[-1])])
+    bad = profile.rate_at(grid) > share * capacity.rates(grid) + 1e-12
+    count = np.concatenate(([0], np.cumsum(bad)))
+    at = np.searchsorted(grid, edges)
+    return count[at[1:] + 1] == count[at[:-1]]
 
 
 def erlang_b(servers: int, load: float) -> float:

@@ -24,12 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, UnknownClass, UnknownKind, UnknownPriority
+from .errors import ConfigError, DomainError, UnknownClass, UnknownKind, UnknownPriority
 from .throttles import DecisionRecord, MixedGapper, RateGapper, TokenBucket
 from .traffic import StreamSpec, stream_columns
 from .types import CapacityProfile, Decision, Offer
 
 DEFAULT_WINDOW = 10.0
+MAX_WINDOWS = 10**6
 
 
 @dataclass(frozen=True)
@@ -149,9 +150,18 @@ class StrategyResult:
             return [math.nan] * self.num_priorities
         return [n / self.rejected for n in self.reject_by_priority]
 
-    def window_index(self, window: float, n_win: int) -> np.ndarray:
-        """Window of each offer, ``int(t / window)`` capped at ``n_win - 1``."""
-        return np.minimum((self.arrival / window).astype(np.intp), n_win - 1)
+    def window_grid(self, window: float) -> tuple[int, np.ndarray]:
+        """(n_win, index): the count of windows up to ``end_time`` (at least 1)
+        and each offer's window, ``int(t / window)`` capped at ``n_win - 1``.
+        More than MAX_WINDOWS windows raise DomainError before any allocation.
+        """
+        n = self.end_time / window
+        if n > MAX_WINDOWS:
+            raise DomainError(
+                f"{n:.3g} windows of length {window} s up to end time "
+                f"{self.end_time:.6g} s exceed the limit of {MAX_WINDOWS}")
+        n_win = max(1, int(math.ceil(n)))
+        return n_win, np.minimum((self.arrival / window).astype(np.intp), n_win - 1)
 
     def windowed_rates(self, window: float | None = None):
         """Admission-rate series (events/sec) per window.
@@ -159,9 +169,9 @@ class StrategyResult:
         Returns (window_starts, aggregate_rates, per_class_rates).
         """
         w = window if window is not None else DEFAULT_WINDOW
-        n_win = max(1, int(math.ceil(self.end_time / w)))
+        n_win, index = self.window_grid(w)
         nc = self.num_classes
-        cell = self.class_id * n_win + self.window_index(w, n_win)
+        cell = self.class_id * n_win + index
         counts = np.bincount(cell[self.decisions], minlength=nc * n_win)
         per_class = counts.reshape(nc, n_win)
         starts = [i * w for i in range(n_win)]

@@ -11,6 +11,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     ConfigError,
     EmptyClassSet,
@@ -54,11 +56,16 @@ class CapacityProfile:
     """Piecewise-constant rate signal, right-continuous at breakpoints.
 
     ``segments`` is an ordered tuple of (start_seconds, rate) pairs; the
-    first segment must start at 0 and the last one extends to +inf.
+    first segment must start at 0 and the last one extends to +inf.  Only
+    this class reads them: ``rate_at`` is the scalar lookup of every decision;
+    ``breakpoints``, ``rates`` and ``integral`` are the checkers' array forms.
     """
 
     segments: tuple[tuple[float, float], ...]
     _starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    breakpoints: np.ndarray = field(init=False, repr=False, compare=False)
+    _rates: np.ndarray = field(init=False, repr=False, compare=False)
+    _prefix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segs = tuple((float(t), float(r)) for t, r in self.segments)
@@ -72,14 +79,34 @@ class CapacityProfile:
         for _, rate in segs:
             if not (math.isfinite(rate) and rate > 0.0):
                 raise ConfigError(f"capacity rate must be positive and finite, got {rate}")
+        table = np.array(segs)
+        table.flags.writeable = False
+        starts, rates = table.T
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "_starts", tuple(t for t, _ in segs))
+        object.__setattr__(self, "breakpoints", starts)
+        object.__setattr__(self, "_rates", rates)
+        # integral of c from 0 to each segment start
+        object.__setattr__(self, "_prefix", np.concatenate(
+            ([0.0], np.cumsum(rates[:-1] * np.diff(starts)))))
 
     def rate_at(self, t: float) -> float:
         """Rate of the segment whose half-open interval [start, next) holds t."""
         if t < 0.0:
             raise ConfigError(f"capacity queried at negative time {t}")
         return self.segments[bisect_right(self._starts, t) - 1][1]
+
+    def rates(self, t: np.ndarray, left: bool = False) -> np.ndarray:
+        """c(t) at each time of the array t >= 0; with ``left`` the left
+        limit c(t-), which differs from c(t) only at a breakpoint (c(0-) is
+        taken as c(0))."""
+        i = np.searchsorted(self.breakpoints, t, "left" if left else "right") - 1
+        return self._rates[np.maximum(i, 0)]
+
+    def integral(self, t: np.ndarray) -> np.ndarray:
+        """The integral of c from 0 to t, at each time of the array t >= 0."""
+        i = np.searchsorted(self.breakpoints, t, "right") - 1
+        return self._prefix[i] + self._rates[i] * (t - self.breakpoints[i])
 
     @classmethod
     def constant(cls, rate: float) -> "CapacityProfile":

@@ -45,3 +45,35 @@ class TokenBucketRateModel:
         self.a_tilde = provisional if admitted else decayed
         self.last_time = t
         return admitted
+
+
+def mean_capacity(capacity, t0: float, t1: float) -> float:
+    """Time-average of the piecewise-constant capacity over [t0, t1),
+    summed segment by segment."""
+    if t1 <= t0:
+        return capacity.rate_at(t0)
+    total = 0.0
+    starts = [t for t, _ in capacity.segments]
+    for i, (seg_start, rate) in enumerate(capacity.segments):
+        seg_end = starts[i + 1] if i + 1 < len(starts) else inf
+        lo = max(t0, seg_start)
+        hi = min(t1, seg_end)
+        if hi > lo:
+            total += rate * (hi - lo)
+    return total / (t1 - t0)
+
+
+def protected_windows(profile, share: float, capacity, window: float, n_win: int):
+    """Req-C's protected flag of each window, one window at a time: the
+    class's intensity stays at or under share * c(t) at the window's edges,
+    knots and capacity breakpoints."""
+    flags = []
+    for i in range(n_win):
+        t0, t1 = i * window, (i + 1) * window
+        checkpoints = {t0, t1}
+        checkpoints.update(t for t, _ in profile.knots if t0 < t < t1)
+        checkpoints.update(t for t, _ in capacity.segments if t0 < t < t1)
+        ok = all(float(profile.rate_at(t)) <= share * capacity.rate_at(t) + 1e-12
+                 for t in sorted(checkpoints))
+        flags.append(ok)
+    return flags

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+import oracles
+
 from gapcraft.analysis import (
+    _protected_windows,
     check_req_a,
     check_req_b,
     check_req_c,
@@ -216,3 +220,37 @@ class TestReqC:
         with pytest.raises(DomainError):
             check_req_c(run.strategies["s"], (0.2, 0.8), C1, spec.profiles,
                         window=-1.0)
+
+
+# round levels make lambda equal share * c exactly at some points
+LEVELS = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.0, 5.0)
+
+
+@st.composite
+def protection_cases(draw):
+    window = draw(st.sampled_from([0.5, 2.5, 10.0]) | st.floats(0.1, 20.0))
+    n_win = draw(st.integers(1, 20))
+    # times on a quarter-window grid often coincide with window edges and
+    # with each other; the floats land anywhere in the span and past it
+    times = (st.integers(0, 4 * n_win).map(lambda x: x * window / 4)
+             | st.floats(0.0, 1.2 * n_win * window))
+    knots = sorted(set(draw(st.lists(times, min_size=1, max_size=4))))
+    profile = IntensityProfile(tuple((t, draw(LEVELS)) for t in knots))
+    starts = sorted(set(draw(st.lists(times.filter(lambda t: t > 0.0), max_size=6))))
+    capacity = CapacityProfile(tuple(
+        (t, draw(LEVELS.filter(lambda r: r > 0.0))) for t in [0.0, *starts]))
+    share = draw(st.sampled_from([0.5, 1.0]) | st.floats(0.05, 1.0))
+    return profile, share, capacity, window, n_win
+
+
+class TestProtectedWindows:
+    """Req-C's protected flags, computed once on the merged grid, against
+    the window-by-window loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(protection_cases())
+    def test_matches_per_window_loop(self, case):
+        profile, share, capacity, window, n_win = case
+        edges = np.arange(n_win + 1) * window
+        assert _protected_windows(profile, share, capacity, edges).tolist() == (
+            oracles.protected_windows(profile, share, capacity, window, n_win))

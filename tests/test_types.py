@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +16,15 @@ from gapcraft.types import (
     PriorityParams,
     ShareVector,
 )
+from oracles import mean_capacity
+
+
+@st.composite
+def capacities(draw, rates=st.floats(0.1, 100.0)):
+    starts = sorted(set(draw(st.lists(
+        st.integers(1, 400).map(lambda x: x * 0.25) | st.floats(0.01, 100.0),
+        max_size=8))))
+    return CapacityProfile(tuple((t, draw(rates)) for t in [0.0, *starts]))
 
 
 class TestOffer:
@@ -87,6 +97,39 @@ class TestCapacityProfile:
         c = CapacityProfile(((0.0, 1.0), (5.0, 3.0), (100.0, 2.0)))
         eps = 1e-9 * max(1.0, t)
         assert c.rate_at(t) == c.rate_at(t + eps) or t + eps >= 5.0
+
+    def test_array_forms(self):
+        c = CapacityProfile(((0.0, 1.0), (10.0, 2.0), (20.0, 0.5)))
+        t = np.array([0.0, 5.0, 10.0, 15.0, 20.0, 1e6])
+        assert c.rates(t).tolist() == [1.0, 1.0, 2.0, 2.0, 0.5, 0.5]
+        assert c.rates(t, left=True).tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 0.5]
+        assert c.integral(t).tolist() == [0.0, 5.0, 10.0, 20.0, 30.0, 30.0 + 0.5 * (1e6 - 20.0)]
+        assert c.breakpoints.tolist() == [0.0, 10.0, 20.0]
+        with pytest.raises(ValueError):
+            c.breakpoints[0] = 1.0
+
+    @given(capacities(), st.lists(st.integers(0, 500).map(lambda x: x * 0.25)
+                                  | st.floats(0.0, 150.0), min_size=1))
+    def test_rates_match_scalar_lookup(self, c, times):
+        t = np.array(times)
+        assert c.rates(t).tolist() == [c.rate_at(x) for x in times]
+        left = [([r for s, r in c.segments if s < x] or [c.segments[0][1]])[-1]
+                for x in times]
+        assert c.rates(t, left=True).tolist() == left
+
+    @given(capacities(st.floats(1.0, 10.0)), st.floats(1.0, 100.0), st.integers(1, 60))
+    def test_window_means_match_segment_sums(self, c, window, n_win):
+        """Req-A's limits, one integral difference per window, against the
+        segment-by-segment sum.
+
+        The difference carries a rounding error of a few ulps of
+        integral(t1), so relative to the window's mean it grows with
+        (t1 / window) * (max c / min c); here that product stays under 2e3.
+        """
+        edges = np.arange(n_win + 1) * window
+        means = np.diff(c.integral(edges)) / window
+        want = [mean_capacity(c, i * window, i * window + window) for i in range(n_win)]
+        assert means.tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestShareVector:
