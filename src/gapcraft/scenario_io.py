@@ -20,8 +20,8 @@ from .harness import Scenario, StrategyConfig, build_throttle
 from .traffic import IntensityProfile, PriorityMix, StreamSpec
 from .types import CapacityProfile, class_shares
 
-_TOP_KEYS = {"_source", "seed", "replications", "trace", "window_seconds",
-             "traffic", "capacity", "strategies", "requirements", "output"}
+_TOP_KEYS = {"_source", "seed", "replications", "window_seconds", "traffic",
+             "capacity", "strategies", "requirements", "output"}
 _TRAFFIC_KEYS = {"_source", "classes", "priority_mix", "stop"}
 _CLASS_KEYS = {"_source", "knots"}
 _STOP_KEYS = {"offers", "duration"}
@@ -199,7 +199,6 @@ def parse_scenario_dict(doc: dict) -> ScenarioFile:
 
     seed = _integer(doc.get("seed", 0), "seed")
     replications = _integer(doc.get("replications", 1), "replications", 1)
-    trace = _boolean(doc.get("trace", False), "trace")
     window = _positive(doc.get("window_seconds", 10.0), "window_seconds")
 
     traffic = _require(doc, "traffic", "scenario")
@@ -251,7 +250,7 @@ def parse_scenario_dict(doc: dict) -> ScenarioFile:
 
     scenario = Scenario(
         stream_spec=spec, capacity=capacity, strategies=tuple(strategies),
-        replications=replications, trace=trace, window=window)
+        replications=replications, window=window)
     _check_priorities(scenario)
     return ScenarioFile(scenario=scenario, seed=seed,
                         requirements=_requirements(doc.get("requirements", {}), scenario),
@@ -286,7 +285,6 @@ def scenario_to_dict(sf: ScenarioFile) -> dict:
     doc = {
         "seed": sf.seed,
         "replications": sf.scenario.replications,
-        "trace": sf.scenario.trace,
         "window_seconds": sf.scenario.window,
         "traffic": {
             "classes": [{"knots": [list(k) for k in p.knots]}

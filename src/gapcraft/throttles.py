@@ -29,6 +29,7 @@ from math import inf
 from typing import NamedTuple
 
 from .errors import (
+    DomainError,
     NonPositiveStep,
     TimeRegression,
     TimerError,
@@ -43,6 +44,7 @@ from .types import CapacityProfile, Decision, Offer, PriorityParams, class_share
 _DENOM_EPS = 1e-12
 _VERDICT = (Decision.REJECT, Decision.ADMIT)  # indexed by the admit bool
 VARIANTS = ("G", "GPrime")
+MAX_PROBES = 10**6
 
 
 class DecisionRecord(NamedTuple):
@@ -101,8 +103,8 @@ def compute_bound_rates(rho_hats, shares, c: float, variant: str = "G",
     plus a proportional cut of the surplus capacity.  Variant "G" measures
     the surplus against the full used capacity u; variant "GPrime" against
     the under-share part u1 only (its sum is exported as a diagnostic, not
-    guaranteed to equal c).  ``normalize`` rescales the over-share surplus
-    so the total is exactly c; off by default.
+    guaranteed to equal c).  ``normalize`` makes the total c by computing
+    variant G, whatever ``variant`` says; off by default.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown bound-rate variant {variant!r}")
@@ -120,23 +122,15 @@ def compute_bound_rates(rho_hats, shares, c: float, variant: str = "G",
         else:
             u2 += sc
             over[i] = True
-    u_eff = u1 if variant == "GPrime" else u1 + u2
+    u_eff = u1 if variant == "GPrime" and not normalize else u1 + u2
     denom = rho - u_eff
     frac = (c - u_eff) / denom if denom > _DENOM_EPS else 0.0
     g = [0.0] * n
-    surplus_total = 0.0
     for i in range(n):
         if over[i]:
-            extra = (rho_hats[i] - shares[i] * c) * frac
-            surplus_total += extra
-            g[i] = shares[i] * c + extra
+            g[i] = shares[i] * c + (rho_hats[i] - shares[i] * c) * frac
         else:
             g[i] = rho_hats[i]
-    if normalize and surplus_total > _DENOM_EPS:
-        scale = (c - (u1 + u2)) / surplus_total
-        for i in range(n):
-            if over[i]:
-                g[i] = shares[i] * c + (g[i] - shares[i] * c) * scale
     return g
 
 
@@ -324,15 +318,18 @@ def probe_recovery_times(throttle, t0: float, step: float, horizon: float,
     Each probe clones the throttle and offers a single event at
     t0 + k*step, k = 1, 2, ...; the first admitted probe time is recorded,
     or None if nothing is admitted within the horizon.  The original state
-    is never mutated.
+    is never mutated.  More than MAX_PROBES steps raise DomainError.
     """
     if step <= 0.0:
         raise NonPositiveStep(f"probe step must be positive, got {step}")
+    n_steps = horizon / step + 1e-9
+    if n_steps > MAX_PROBES:
+        raise DomainError(f"{n_steps:.3g} probes of step {step} s over a horizon "
+                          f"of {horizon} s exceed the limit of {MAX_PROBES}")
     times: dict[int, float | None] = {}
-    n_steps = int(horizon / step + 1e-9)
     for j in range(throttle.num_priorities):
         times[j] = None
-        for k in range(1, n_steps + 1):
+        for k in range(1, int(n_steps) + 1):
             t = t0 + k * step
             if throttle.clone().admit(t, class_id, j):
                 times[j] = t

@@ -51,13 +51,23 @@ def test_acceptance_01_bounding_identity_fuzz():
     cs = rng.uniform(1e-6, 100.0, size=n)
     mults = rng.uniform(0.0, 3.0, size=(n, 8))
     over_pick = rng.random(size=n)
+    # Python lists, with the shares of all rows of one length normalised in
+    # one numpy division (equal to normalising row by row): per-element numpy
+    # indexing would cost more than the 10^5 calls under test
+    share_rows = [None] * n
+    for k in range(1, 9):
+        rows = np.flatnonzero(sizes == k)
+        block = gammas[rows, :k]
+        normalised = (block / block.sum(axis=1, keepdims=True)).tolist()
+        for i, shares in zip(rows.tolist(), normalised):
+            share_rows[i] = shares
+    cs, mults, over_pick = (a.tolist() for a in (cs, mults, over_pick))
     worst = 0.0
     for i in range(n):
-        k = sizes[i]
-        row = gammas[i, :k]
-        shares = (row / row.sum()).tolist()
+        shares = share_rows[i]
+        k = len(shares)
         c = cs[i]
-        rho = [shares[j] * c * mults[i, j] for j in range(k)]
+        rho = [shares[j] * c * mults[i][j] for j in range(k)]
         j = int(over_pick[i] * k)
         if rho[j] <= shares[j] * c:
             rho[j] = shares[j] * c * 1.5 + 0.1

@@ -153,6 +153,13 @@ def _one_class_c_judges_bucket(doc):
     doc["requirements"] = {"C": {"strategies": ["token_bucket"]}}
 
 
+def _near_zero_tail(doc):
+    # a count-stopped stream whose intensity falls near zero ends at a huge time
+    doc["traffic"]["classes"][0]["knots"] = [[0.0, 10.0], [10.0, 1e-12]]
+    doc["traffic"]["stop"] = {"offers": 300}
+    doc["requirements"] = {"A": {}}
+
+
 # (command, edit of table1_row3, key the error must name)
 BAD_FILES = [
     ("simulate", _set(("strategies", 1, "timers"), [0.0, 1.0]), "strategies[1].timers"),
@@ -178,7 +185,7 @@ BAD_FILES = [
     ("simulate", _set(("strategies", 0, "kind"), "rate_model"), "strategies[0].kind"),
     ("simulate", _set(("strategies", 0, "rate_segments"), [[0.0, 7.0]]), "rate_segments"),
     ("simulate", _set(("strategies", 1, "normalize"), "false"), "strategies[1].normalize"),
-    ("simulate", _set(("trace",), 1), "trace"),
+    ("simulate", _set(("trace",), True), "trace"),  # the key is gone
     ("check", _set(("requirements",), {"C": {"strategies": ["rate_gaping"]}}),
      "requirements.C.strategies"),
     ("check", _set(("requirements",), {"B": {"sample_every": 0}}),
@@ -200,6 +207,10 @@ BAD_FILES = [
     ("check", partial(_two_classes_c_judges_bucket, bucket_shares=[0.3, 0.3]),
      "strategies[0].shares"),
     ("check", _one_class_c_judges_bucket, "strategies[0].shares"),
+    # grids too large to judge: refused before anything is allocated
+    ("check", _near_zero_tail, "windows of length"),
+    ("check", _set(("requirements",), {"A": {"window": 1e-9}}), "windows of length"),
+    ("check", _set(("requirements",), {"B": {"step": 1e-12}}), "probes of step"),
 ]
 
 
@@ -231,7 +242,7 @@ REQUIREMENTS = {
           "min_pass_fraction": 0.95},
     "C": {"window": 10.0, "strategies": ["token_bucket", "rate_gapping", "mixed"]},
 }
-POOL = [None, True, "x", [], {}, -1, 0, 0.5]
+POOL = [None, True, "x", [], {}, -1, 0, 0.5, 1e-12]
 
 
 def _entries(node):
@@ -255,10 +266,8 @@ def fuzzed_scenarios(draw):
     with one from POOL or with a list one element too short or too long.
 
     The pool leaves out values that only ask for more work (large counts,
-    long horizons, tiny steps).  It also leaves out near-zero positive
-    intensities: a count-stopped stream whose intensity falls near zero ends
-    at a huge time, and StrategyResult.windowed_rates allocates one bin per
-    window up to that time, a defect still open.
+    long horizons).  Its 1e-12 makes tiny windows, steps and timers and
+    near-zero intensities, whose grids the checkers must refuse.
     """
     doc = _row3(_set(("requirements",), copy.deepcopy(REQUIREMENTS)))
     doc["strategies"][0]["shares"] = [1.0]

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from gapcraft.errors import (
     ConfigError,
+    DomainError,
     NonPositiveStep,
     TimeRegression,
     UnknownClass,
@@ -41,6 +42,14 @@ class TestUsedCapacity:
         assert u == pytest.approx(2.0)
 
 
+# raw shares, multiples of s_i * c offered, capacity c
+BOUND_RATE_ARGS = st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=n, max_size=n),
+    st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=n, max_size=n),
+    st.floats(min_value=0.1, max_value=100.0),
+))
+
+
 class TestBoundRates:
     def test_two_class_overload(self):
         g = compute_bound_rates((0.8, 0.4), (0.2, 0.8), 1.0)
@@ -74,13 +83,7 @@ class TestBoundRates:
         g = compute_bound_rates((0.0, 0.0), (0.5, 0.5), 1.0)
         assert g == [0.0, 0.0]
 
-    @given(
-        st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tuples(
-            st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=n, max_size=n),
-            st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=n, max_size=n),
-            st.floats(min_value=0.1, max_value=100.0),
-        ))
-    )
+    @given(BOUND_RATE_ARGS)
     def test_overload_sum_identity(self, args):
         raw_shares, mults, c = args
         total = sum(raw_shares)
@@ -94,6 +97,15 @@ class TestBoundRates:
         for gi, ri, si in zip(g, rho, shares):
             if ri <= si * c:
                 assert gi == ri
+
+
+    @given(BOUND_RATE_ARGS, st.sampled_from(["G", "GPrime"]))
+    def test_normalize_is_variant_g(self, args, variant):
+        raw_shares, mults, c = args
+        shares = [x / sum(raw_shares) for x in raw_shares]
+        rho = [s * c * m for s, m in zip(shares, mults)]
+        assert (compute_bound_rates(rho, shares, c, variant, True)
+                == compute_bound_rates(rho, shares, c, "G"))
 
 
 class TestTokenBucket:
@@ -486,6 +498,8 @@ class TestProbeRecovery:
     def test_bad_step(self):
         with pytest.raises(NonPositiveStep):
             probe_recovery_times(TokenBucket((10.0,), C1), 0.0, 0.0, 10.0)
+        with pytest.raises(DomainError, match="probes of step"):
+            probe_recovery_times(TokenBucket((10.0,), C1), 0.0, 1e-12, 5.0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=10.5, max_value=40.0))
