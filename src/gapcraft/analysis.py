@@ -142,15 +142,20 @@ def check_req_c(result: StrategyResult, shares, capacity: CapacityProfile,
 
 def _protected_windows(profile: IntensityProfile, share: float,
                        capacity: CapacityProfile, edges: np.ndarray) -> np.ndarray:
-    """Protected flags of the windows between consecutive ``edges``: as lambda
-    is piecewise linear and c piecewise constant, lambda <= share * c + 1e-12
-    is tested at the window's edges, knots and capacity breakpoints."""
+    """Protected flags of the windows [t0, t1) between consecutive ``edges``.
+
+    lambda is piecewise linear and c piecewise constant, so
+    lambda <= share * c + 1e-12 holds throughout [t0, t1) iff it holds with
+    c(p) at each grid point p (edge, knot or breakpoint) in [t0, t1) and
+    with the left limit c(p-) at each p in (t0, t1].
+    """
     points = np.concatenate(([t for t, _ in profile.knots], capacity.breakpoints))
     grid = np.union1d(edges, points[(points > 0.0) & (points < edges[-1])])
-    bad = profile.rate_at(grid) > share * capacity.rates(grid) + 1e-12
-    count = np.concatenate(([0], np.cumsum(bad)))
+    lam = profile.rate_at(grid)
+    right, left = (np.concatenate(([0], np.cumsum(
+        lam > share * capacity.rates(grid, limit) + 1e-12))) for limit in (False, True))
     at = np.searchsorted(grid, edges)
-    return count[at[1:] + 1] == count[at[:-1]]
+    return (right[at[1:]] == right[at[:-1]]) & (left[at[1:] + 1] == left[at[:-1] + 1])
 
 
 def erlang_b(servers: int, load: float) -> float:

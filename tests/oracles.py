@@ -64,16 +64,23 @@ def mean_capacity(capacity, t0: float, t1: float) -> float:
 
 
 def protected_windows(profile, share: float, capacity, window: float, n_win: int):
-    """Req-C's protected flag of each window, one window at a time: the
-    class's intensity stays at or under share * c(t) at the window's edges,
-    knots and capacity breakpoints."""
+    """Req-C's protected flag of each window [t0, t1), one window at a time:
+    the class's intensity stays at or under share * c at the window's edges,
+    knots and capacity breakpoints, taking c(p) at each such p < t1 and the
+    left limit c(p-) at each p > t0."""
+    def left_limit(t):
+        return [rate for start, rate in capacity.segments if start < t][-1]
+
     flags = []
     for i in range(n_win):
         t0, t1 = i * window, (i + 1) * window
         checkpoints = {t0, t1}
         checkpoints.update(t for t, _ in profile.knots if t0 < t < t1)
         checkpoints.update(t for t, _ in capacity.segments if t0 < t < t1)
-        ok = all(float(profile.rate_at(t)) <= share * capacity.rate_at(t) + 1e-12
-                 for t in sorted(checkpoints))
+        ok = all(
+            float(profile.rate_at(t)) <= share * c + 1e-12
+            for t in sorted(checkpoints)
+            for c in ([capacity.rate_at(t)] if t < t1 else [])
+            + ([left_limit(t)] if t > t0 else []))
         flags.append(ok)
     return flags

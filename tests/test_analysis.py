@@ -18,7 +18,7 @@ from gapcraft.analysis import (
 )
 from gapcraft.errors import DomainError
 from gapcraft.estimator import step
-from gapcraft.harness import Scenario, StrategyConfig, run_once
+from gapcraft.harness import Scenario, StrategyConfig, StrategyResult, run_once
 from gapcraft.throttles import RateGapper, TokenBucket
 from gapcraft.traffic import IntensityProfile, PriorityMix, StreamSpec, generate_stream
 from gapcraft.types import CapacityProfile
@@ -246,6 +246,23 @@ def protection_cases(draw):
 class TestProtectedWindows:
     """Req-C's protected flags, computed once on the merged grid, against
     the window-by-window loop."""
+
+    @pytest.mark.parametrize("knots, segments, share", [
+        # a step up at t=5: lambda(4.99) = 0.998 > 0.5 * c(5-) = 0.5, so the
+        # first window is not protected although c(5) = 10 covers lambda(5)
+        (((0.0, 0.0), (10.0, 2.0)), ((0.0, 1.0), (5.0, 10.0)), 0.5),
+        # a step down at t=10 belongs to the second window, not the first
+        (((0.0, 0.8),), ((0.0, 1.0), (10.0, 0.5)), 1.0),
+    ])
+    def test_one_sided_limits(self, knots, segments, share):
+        # one rejection in each of the windows [0, 10) and [10, 20); only the
+        # one that protects the class may count
+        result = StrategyResult("s", 1, 1, np.array([4.99, 15.0]), np.array([0, 0]),
+                                np.array([0, 0]), np.array([False, False]))
+        v = check_req_c(result, (share,), CapacityProfile(segments),
+                        (IntensityProfile(knots),), window=10.0)
+        assert v.evidence["protected_windows_by_class"] == [1]
+        assert v.evidence["violations_by_class"] == [1]
 
     @settings(max_examples=300, deadline=None)
     @given(protection_cases())
