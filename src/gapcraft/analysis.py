@@ -42,8 +42,6 @@ def check_req_a(result: StrategyResult, capacity: CapacityProfile,
     The transient start of a run is excluded: windows beginning before
     ``steady_from`` (default: half the run) are reported but not judged.
     """
-    if window <= 0.0:
-        raise DomainError("window must be positive")
     starts, agg, _ = result.windowed_rates(window)
     cut = steady_from if steady_from is not None else result.end_time / 2.0
     edges = np.arange(len(starts) + 1) * window
@@ -117,18 +115,15 @@ def check_req_c(result: StrategyResult, shares, capacity: CapacityProfile,
     lambda_i(t) stays at or under s_i * c(t) throughout the window.  The
     requirement passes iff no protected-window rejection exists.
     """
-    if window <= 0.0:
-        raise DomainError("window must be positive")
-    profiles = tuple(profiles)
     n_win, index = result.window_grid(window)
     edges = np.arange(n_win + 1) * window
     # a run that ends at t = 0 spans no window, so it has none protected
-    protected = np.array([_protected_windows(profiles[k], shares[k], capacity, edges)
-                          for k in range(len(profiles))]) & (result.end_time > 0.0)
+    protected = np.array([_protected_windows(profile, share, capacity, edges) for profile, share
+                          in zip(profiles, shares, strict=True)]) & (result.end_time > 0.0)
     reject = ~result.decisions
     classes = result.class_id[reject]
     hit = protected[classes, index[reject]]
-    violations = np.bincount(classes[hit], minlength=len(profiles)).tolist()
+    violations = np.bincount(classes[hit], minlength=len(protected)).tolist()
     return RequirementVerdict(
         "C",
         passed=sum(violations) == 0,
@@ -150,12 +145,13 @@ def _protected_windows(profile: IntensityProfile, share: float,
     with the left limit c(p-) at each p in (t0, t1].
     """
     points = np.concatenate(([t for t, _ in profile.knots], capacity.breakpoints))
-    grid = np.union1d(edges, points[(points > 0.0) & (points < edges[-1])])
+    grid = np.sort(np.concatenate((edges, points[(points > 0.0) & (points < edges[-1])])))
     lam = profile.rate_at(grid)
     right, left = (np.concatenate(([0], np.cumsum(
         lam > share * capacity.rates(grid, limit) + 1e-12))) for limit in (False, True))
-    at = np.searchsorted(grid, edges)
-    return (right[at[1:]] == right[at[:-1]]) & (left[at[1:] + 1] == left[at[:-1] + 1])
+    # grid[lo[i]:lo[i + 1]] holds [t0, t1) of window i, grid[hi[i]:hi[i + 1]] (t0, t1]
+    lo, hi = (np.searchsorted(grid, edges, side) for side in ("left", "right"))
+    return (right[lo[1:]] == right[lo[:-1]]) & (left[hi[1:]] == left[hi[:-1]])
 
 
 def erlang_b(servers: int, load: float) -> float:

@@ -153,13 +153,15 @@ class StrategyResult:
     def window_grid(self, window: float) -> tuple[int, np.ndarray]:
         """(n_win, index): the count of windows up to ``end_time`` (at least 1)
         and each offer's window, ``int(t / window)`` capped at ``n_win - 1``.
-        More than MAX_WINDOWS windows raise DomainError before any allocation.
+        A window <= 0 or more than MAX_WINDOWS windows raise DomainError
+        before anything is allocated.
         """
+        if not window > 0.0:
+            raise DomainError(f"window must be positive, got {window}")
         n = self.end_time / window
         if n > MAX_WINDOWS:
-            raise DomainError(
-                f"{n:.3g} windows of length {window} s up to end time "
-                f"{self.end_time:.6g} s exceed the limit of {MAX_WINDOWS}")
+            raise DomainError(f"{n:.3g} windows of length {window} s up to end time "
+                              f"{self.end_time:.6g} s exceed the limit of {MAX_WINDOWS}")
         n_win = max(1, int(math.ceil(n)))
         return n_win, np.minimum((self.arrival / window).astype(np.intp), n_win - 1)
 
@@ -353,27 +355,16 @@ def export_report(report: BatchReport, path) -> None:
 
 
 def export_windowed_rates_csv(result: RunResult, path, window: float) -> None:
-    """Per-window admission rates, one column per (strategy, class)."""
-    names = list(result.strategies)
-    series = {}
-    n_win = 0
-    for name in names:
-        starts, agg, per_class = result.strategies[name].windowed_rates(window)
-        series[name] = (starts, agg, per_class)
-        n_win = max(n_win, len(starts))
-    cols = ["t"]
-    for name in names:
-        cols.append(f"{name}_aggregate")
-        cols += [f"{name}_class_{k}"
-                 for k in range(result.strategies[name].num_classes)]
+    """Per-window admission rates, one column per (strategy, class); the
+    strategies of a run share its stream, so they share one window grid."""
+    header, columns = ["t"], []
+    for name, res in result.strategies.items():
+        _, agg, per_class = res.windowed_rates(window)
+        header += [f"{name}_aggregate"] + [f"{name}_class_{k}"
+                                           for k in range(res.num_classes)]
+        columns += [agg, *per_class]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i in range(n_win):
-            row = [repr(i * window)]
-            for name in names:
-                starts, agg, per_class = series[name]
-                row.append(repr(agg[i]) if i < len(agg) else "")
-                for kser in per_class:
-                    row.append(repr(kser[i]) if i < len(kser) else "")
-            writer.writerow(row)
+        writer.writerow(header)
+        for i in range(len(columns[0])):
+            writer.writerow([repr(i * window)] + [repr(col[i]) for col in columns])

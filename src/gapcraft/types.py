@@ -97,9 +97,8 @@ class CapacityProfile:
         return self.segments[bisect_right(self._starts, t) - 1][1]
 
     def rates(self, t: np.ndarray, left: bool = False) -> np.ndarray:
-        """c(t) at each time of the array t >= 0; with ``left`` the left
-        limit c(t-), which differs from c(t) only at a breakpoint (c(0-) is
-        taken as c(0))."""
+        """c(t) at each time of the array t >= 0, or with ``left`` the left
+        limit c(t-), which differs only at a breakpoint (c(0-) is c(0))."""
         i = np.searchsorted(self.breakpoints, t, "left" if left else "right") - 1
         return self._rates[np.maximum(i, 0)]
 
