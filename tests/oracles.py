@@ -77,10 +77,12 @@ def protected_windows(profile, share: float, capacity, window: float, n_win: int
         checkpoints = {t0, t1}
         checkpoints.update(t for t, _ in profile.knots if t0 < t < t1)
         checkpoints.update(t for t, _ in capacity.segments if t0 < t < t1)
-        ok = all(
-            float(profile.rate_at(t)) <= share * c + 1e-12
-            for t in sorted(checkpoints)
-            for c in ([capacity.rate_at(t)] if t < t1 else [])
-            + ([left_limit(t)] if t > t0 else []))
+        ok = True
+        for t in sorted(checkpoints):
+            lam = float(profile.rate_at(t))
+            if t < t1:
+                ok &= lam <= share * capacity.rate_at(t) + 1e-12
+            if t > t0:
+                ok &= lam <= share * left_limit(t) + 1e-12
         flags.append(ok)
     return flags

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-import oracles
-
 from gapcraft.analysis import (
     _protected_windows,
     check_req_a,
@@ -22,6 +20,7 @@ from gapcraft.harness import Scenario, StrategyConfig, StrategyResult, run_once
 from gapcraft.throttles import RateGapper, TokenBucket
 from gapcraft.traffic import IntensityProfile, PriorityMix, StreamSpec, generate_stream
 from gapcraft.types import CapacityProfile
+import oracles
 
 C1 = CapacityProfile.constant(1.0)
 

@@ -98,7 +98,6 @@ class TestBoundRates:
             if ri <= si * c:
                 assert gi == ri
 
-
     @given(BOUND_RATE_ARGS, st.sampled_from(["G", "GPrime"]))
     def test_normalize_is_variant_g(self, args, variant):
         raw_shares, mults, c = args
