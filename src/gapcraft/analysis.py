@@ -160,8 +160,10 @@ def erlang_b(servers: int, load: float) -> float:
     Computed with the stable recurrence B_0 = 1,
     B_k = a B_{k-1} / (k + a B_{k-1}).
     """
-    if servers < 0 or load < 0.0:
-        raise DomainError("servers and load must be non-negative")
+    if servers < 0:
+        raise DomainError(f"servers must be non-negative, got {servers}")
+    if not 0.0 <= load < math.inf:
+        raise DomainError(f"load must be finite and non-negative, got {load}")
     b = 1.0
     for k in range(1, servers + 1):
         b = load * b / (k + load * b)
@@ -177,8 +179,10 @@ def estimator_bias(T: float, alpha: float) -> float:
     exponential inter-arrivals F[T] = 1 - exp(-alpha T).  Returned is that
     mean minus alpha (always positive: the estimator overestimates).
     """
-    if T <= 0.0 or alpha <= 0.0:
-        raise DomainError("T and alpha must be positive")
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"timer T must be finite and positive, got {T}")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be finite and positive, got {alpha}")
     at = alpha * T
     f = -math.expm1(-at)  # F[T]
     tail = math.exp(-at)
@@ -186,4 +190,6 @@ def estimator_bias(T: float, alpha: float) -> float:
         raise DomainError("alpha*T too small to evaluate")
     e_cond = 1.0 / alpha - T * tail / f  # E[dt | dt < T]
     denom = T * tail + e_cond * f  # = E[min(dt, T)]
+    if not 0.0 < denom < math.inf:
+        raise DomainError(f"E[min(dt, T)] evaluates to {denom} at T={T}, alpha={alpha}")
     return 1.0 / denom - alpha

@@ -73,15 +73,15 @@ def build_throttle(cfg: StrategyConfig, scenario: Scenario):
     """Construct a fresh throttle instance for one replication."""
     capacity = scenario.capacity
     num_classes = scenario.stream_spec.num_classes
+    variant = "G" if cfg.normalize else cfg.variant
     if cfg.kind == "token_bucket":
         return TokenBucket(cfg.watermarks, capacity)
     if cfg.kind == "rate_gapper":
         return RateGapper(num_classes, cfg.shares, cfg.timers, capacity,
-                          variant=cfg.variant, normalize=cfg.normalize)
+                          variant=variant)
     if cfg.kind == "mixed":
         return MixedGapper(num_classes, cfg.shares, cfg.watermarks, capacity,
-                           timers=cfg.timers, variant=cfg.variant,
-                           normalize=cfg.normalize)
+                           timers=cfg.timers, variant=variant)
     raise UnknownKind(f"{cfg.name}: unknown strategy kind {cfg.kind!r}")
 
 

@@ -14,7 +14,11 @@ whose ``param`` names it.  The throttle keeps them as plain float tuples.
 All throttles expose the same stateful surface: ``decide(offer)`` returns a
 DecisionRecord and commits the state change; ``admit(t, class_id, priority)``
 is the record-free fast path; ``clone()`` copies the state for what-if
-probing.
+probing.  The gappers' ``admit`` makes one pass over the classes and computes
+the bound rate g_k of the offered class only; ``decide`` adds the full g
+vector and u for the record.  Every throttle reads the capacity through a
+cursor, the segment it last used, and looks a segment up again only when a
+time falls outside it.
 
 A DecisionRecord holds the ``offer``, the ``verdict`` and the state the
 decision left behind: the bucket fill ``b``, the used capacity ``u``, and per
@@ -104,7 +108,9 @@ def compute_bound_rates(rho_hats, shares, c: float, variant: str = "G",
     the surplus against the full used capacity u; variant "GPrime" against
     the under-share part u1 only (its sum is exported as a diagnostic, not
     guaranteed to equal c).  ``normalize`` makes the total c by computing
-    variant G, whatever ``variant`` says; off by default.
+    variant G, whatever ``variant`` says; off by default.  This is the
+    vector form that ``decide`` reports; ``RateGapper.admit`` computes the
+    same g_k for the offered class alone, bit for bit.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown bound-rate variant {variant!r}")
@@ -134,13 +140,36 @@ def compute_bound_rates(rho_hats, shares, c: float, variant: str = "G",
     return g
 
 
-class TokenBucket:
+class _CapacityCursor:
+    """The capacity segment a throttle last read, cached with its rate.
+
+    ``_capacity(x)`` returns c(x) of the throttle's ``capacity`` and looks
+    the segment up again only when x falls outside the cached [start, end),
+    which starts empty; any time, earlier or later, reads the right rate.
+    ``clone`` copies the cursor with the rest of the state.
+    """
+
+    _c_start = _c_end = 0.0
+
+    def _capacity(self, x: float) -> float:
+        if not self._c_start <= x < self._c_end:
+            self._c, self._c_start, self._c_end = self.capacity.segment_at(x)
+        return self._c
+
+    def clone(self):
+        other = self.__class__.__new__(self.__class__)
+        other.__dict__.update(self.__dict__)
+        return other
+
+
+class TokenBucket(_CapacityCursor):
     """Inverted-fill token bucket with per-priority watermarks.
 
     The fill b rises by 1 per admitted offer and drains at the token rate
     r(t); an offer of priority j is admitted while the provisional fill
-    stays at or under W_j.  The drain uses the rate observed at the previous
-    event (r is piecewise-constant, so this only matters across breakpoints).
+    stays at or under W_j.  The drain uses the rate c(last) at the previous
+    event, read through the capacity cursor (r is piecewise-constant, so
+    this only matters across breakpoints).
     """
 
     kind = "token_bucket"
@@ -149,7 +178,7 @@ class TokenBucket:
         if watermarks is None:
             raise WatermarkError("token_bucket needs watermarks")
         self.watermarks = PriorityParams(watermarks).watermarks
-        self.rate = rate
+        self.capacity = rate
         self.b = 0.0
         self.last_time = 0.0
 
@@ -157,21 +186,14 @@ class TokenBucket:
     def num_priorities(self) -> int:
         return len(self.watermarks)
 
-    def clone(self) -> "TokenBucket":
-        other = TokenBucket.__new__(TokenBucket)
-        other.watermarks = self.watermarks
-        other.rate = self.rate
-        other.b = self.b
-        other.last_time = self.last_time
-        return other
-
     def admit(self, t: float, class_id: int = 0, priority: int = 0) -> bool:
-        dt = t - self.last_time
+        last = self.last_time
+        dt = t - last
         if not 0.0 <= dt < inf:
-            raise _time_error(t, self.last_time)
+            raise _time_error(t, last)
         if not 0 <= priority < len(self.watermarks):
             raise UnknownPriority(f"priority {priority} not configured")
-        rejected, provisional = drain(self.b, self.rate.rate_at(self.last_time), dt)
+        rejected, provisional = drain(self.b, self._capacity(last), dt)
         admitted = provisional <= self.watermarks[priority]
         self.b = provisional if admitted else rejected
         self.last_time = t
@@ -182,7 +204,7 @@ class TokenBucket:
         return DecisionRecord(offer, _VERDICT[admitted], b=self.b)
 
 
-class RateGapper:
+class RateGapper(_CapacityCursor):
     """Rate-estimation call gapping with class fairness.
 
     Keeps one offered-rate estimate rho_hat_i and one admitted-rate estimate
@@ -194,21 +216,26 @@ class RateGapper:
     impulse) but never raise any a_hat.  ``admit`` is the one decision core:
     MixedGapper sets ``watermarks`` to turn on its bucket relaxation there,
     and ``decide`` reports what ``admit`` decided.
+
+    ``admit`` makes one pass over the classes: it decays the estimators and
+    sums the terms of ``compute_bound_rates`` in that function's order, then
+    computes g_k of the offered class alone, equal to
+    ``compute_bound_rates(...)[k]`` bit for bit.  The variant is fixed at
+    construction.
     """
 
     kind = "rate_gapper"
 
     def __init__(self, num_classes: int, shares, timers,
-                 capacity: CapacityProfile, variant: str = "G",
-                 normalize: bool = False):
+                 capacity: CapacityProfile, variant: str = "G"):
         if timers is None:
             raise TimerError("rate_gapper needs timers")
         self._configure(num_classes, shares, PriorityParams(timers=timers),
-                        capacity, variant, normalize)
+                        capacity, variant)
         self.b = None
 
     def _configure(self, num_classes: int, shares, params: PriorityParams,
-                   capacity: CapacityProfile, variant: str, normalize: bool):
+                   capacity: CapacityProfile, variant: str):
         """Check the parameters both gappers share and set the zero state."""
         shares = class_shares(shares, num_classes)
         if variant not in VARIANTS:
@@ -219,18 +246,17 @@ class RateGapper:
         self.watermarks = params.watermarks
         self.capacity = capacity
         self.variant = variant
-        self.normalize = normalize
+        self._gprime = variant == "GPrime"
         self.num_priorities = len(params)
         self.rho = [0.0] * self.num_classes
         self.a_hat = [0.0] * self.num_classes
         self.last_time = 0.0
-        # alpha_hat_k, g and c of the last admit, for decide() to report;
+        # alpha_hat_k and c of the last admit, for decide() to report;
         # admit() leaves them here so it stays a single call.
         self._terms = None
 
     def clone(self) -> "RateGapper":
-        other = self.__class__.__new__(self.__class__)
-        other.__dict__.update(self.__dict__)
+        other = super().clone()
         other.rho = list(self.rho)
         other.a_hat = list(self.a_hat)
         return other
@@ -244,15 +270,16 @@ class RateGapper:
             raise UnknownClass(f"class {class_id} not configured")
         if not 0 <= priority < self.num_priorities:
             raise UnknownPriority(f"priority {priority} not configured")
-        c = self.capacity.rate_at(t)
         watermarks = self.watermarks
         if watermarks is None:
+            c = self._capacity(t)
             T = self.timers[priority]
             relax = 1.0
         else:
+            rejected, provisional = drain(self.b, self._capacity(last), dt)
+            c = self._capacity(t)
             w_j = watermarks[priority]
             T = self.timers[priority] if self.timers is not None else w_j / c
-            rejected, provisional = drain(self.b, self.capacity.rate_at(last), dt)
             if provisional > self.w_max:
                 provisional = self.w_max
             relax = provisional / w_j
@@ -260,31 +287,53 @@ class RateGapper:
         impulse = 1.0 / T
         rho = self.rho
         a_hat = self.a_hat
+        shares = self.shares
+        # compute_bound_rates' sums, in its order, over the updated rho
+        total = 0.0
+        u1 = 0.0
+        u2 = 0.0
         for i in range(self.num_classes):
-            rho[i] *= decay
+            rho_i = rho[i] * decay
+            if i == class_id:
+                rho_i += impulse
+            rho[i] = rho_i
             a_hat[i] *= decay
-        rho[class_id] += impulse
+            total += rho_i
+            sc = shares[i] * c
+            if rho_i <= sc:
+                u1 += rho_i
+            else:
+                u2 += sc
+        rho_k = rho[class_id]
+        sc_k = shares[class_id] * c
+        if rho_k <= sc_k:
+            g_k = rho_k
+        else:
+            u_eff = u1 if self._gprime else u1 + u2
+            denom = total - u_eff
+            frac = (c - u_eff) / denom if denom > _DENOM_EPS else 0.0
+            g_k = sc_k + (rho_k - sc_k) * frac
         alpha_k = a_hat[class_id] + impulse
-        g = compute_bound_rates(rho, self.shares, c, self.variant, self.normalize)
-        admitted = relax * alpha_k <= g[class_id]
+        admitted = relax * alpha_k <= g_k
         if admitted:
             a_hat[class_id] = alpha_k
         if watermarks is not None:
             self.b = provisional if admitted else rejected
         self.last_time = t
-        self._terms = alpha_k, g, c
+        self._terms = alpha_k, c
         return admitted
 
     def decide(self, offer: Offer) -> DecisionRecord:
         k = offer.class_id
         admitted = self.admit(offer.arrival, k, offer.priority)
-        alpha_k, g, c = self._terms
+        alpha_k, c = self._terms
         a_hat = tuple(self.a_hat)
         return DecisionRecord(
             offer, _VERDICT[admitted], b=self.b,
             u=compute_used_capacity(self.rho, self.shares, c)[0],
             rho_hat=tuple(self.rho), alpha_hat=a_hat[:k] + (alpha_k,) + a_hat[k + 1:],
-            a_hat=a_hat, g=tuple(g))
+            a_hat=a_hat, g=tuple(compute_bound_rates(self.rho, self.shares, c,
+                                                     self.variant)))
 
 
 class MixedGapper(RateGapper):
@@ -294,19 +343,19 @@ class MixedGapper(RateGapper):
     (b/W_j) * alpha_hat_k <= g_k, with b the provisional fill of a bucket
     that drains like TokenBucket's.  The fill used in the test and committed
     on admission is clamped to W_max = max_j W_j.  The bucket drains at the
-    capacity c(t).  Timers default to T_j = W_j / c(t); pass explicit timers
-    to decouple them from the watermarks.
+    capacity c(last) of the previous event.  Timers default to
+    T_j = W_j / c(t); pass explicit timers to decouple them from the
+    watermarks.
     """
 
     kind = "mixed"
 
     def __init__(self, num_classes: int, shares, watermarks,
-                 capacity: CapacityProfile, timers=None, variant: str = "G",
-                 normalize: bool = False):
+                 capacity: CapacityProfile, timers=None, variant: str = "G"):
         if watermarks is None:
             raise WatermarkError("mixed needs watermarks")
         self._configure(num_classes, shares, PriorityParams(watermarks, timers),
-                        capacity, variant, normalize)
+                        capacity, variant)
         self.w_max = max(self.watermarks)
         self.b = 0.0
 

@@ -57,12 +57,14 @@ class CapacityProfile:
 
     ``segments`` is an ordered tuple of (start_seconds, rate) pairs; the
     first segment must start at 0 and the last one extends to +inf.  Only
-    this class reads them: ``rate_at`` is the scalar lookup of every decision;
+    this class reads them: ``rate_at`` is the scalar lookup; ``segment_at``
+    gives the throttles the whole segment, which they cache as a cursor;
     ``breakpoints``, ``rates`` and ``integral`` are the checkers' array forms.
     """
 
     segments: tuple[tuple[float, float], ...]
     _starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _ends: tuple[float, ...] = field(init=False, repr=False, compare=False)
     breakpoints: np.ndarray = field(init=False, repr=False, compare=False)
     _rates: np.ndarray = field(init=False, repr=False, compare=False)
     _prefix: np.ndarray = field(init=False, repr=False, compare=False)
@@ -84,17 +86,23 @@ class CapacityProfile:
         starts, rates = table.T
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "_starts", tuple(t for t, _ in segs))
+        object.__setattr__(self, "_ends", self._starts[1:] + (math.inf,))
         object.__setattr__(self, "breakpoints", starts)
         object.__setattr__(self, "_rates", rates)
         # integral of c from 0 to each segment start
         object.__setattr__(self, "_prefix", np.concatenate(
             ([0.0], np.cumsum(rates[:-1] * np.diff(starts)))))
 
-    def rate_at(self, t: float) -> float:
-        """Rate of the segment whose half-open interval [start, next) holds t."""
+    def segment_at(self, t: float) -> tuple[float, float, float]:
+        """(rate, start, end) of the segment whose interval [start, end) holds t."""
         if t < 0.0:
             raise ConfigError(f"capacity queried at negative time {t}")
-        return self.segments[bisect_right(self._starts, t) - 1][1]
+        i = bisect_right(self._starts, t) - 1
+        return self.segments[i][1], self._starts[i], self._ends[i]
+
+    def rate_at(self, t: float) -> float:
+        """Rate of the segment whose half-open interval [start, next) holds t."""
+        return self.segment_at(t)[0]
 
     def rates(self, t: np.ndarray, left: bool = False) -> np.ndarray:
         """c(t) at each time of the array t >= 0, or with ``left`` the left

@@ -2,7 +2,20 @@
 
 from math import inf
 
-from gapcraft.errors import TimeRegression
+from gapcraft.errors import TimeRegression, UnknownClass, UnknownPriority
+from gapcraft.estimator import forgetting
+from gapcraft.throttles import (
+    _VERDICT,
+    DecisionRecord,
+    MixedGapper,
+    RateGapper,
+    TokenBucket,
+    _time_error,
+    compute_bound_rates,
+    compute_used_capacity,
+    drain,
+)
+from gapcraft.types import Offer
 
 
 class TokenBucketRateModel:
@@ -86,3 +99,92 @@ def protected_windows(profile, share: float, capacity, window: float, n_win: int
                 ok &= lam <= share * left_limit(t) + 1e-12
         flags.append(ok)
     return flags
+
+
+class ReferenceTokenBucket(TokenBucket):
+    """TokenBucket with the admit it had before the capacity cursor: c(last)
+    by a fresh ``rate_at`` bisect at every decision."""
+
+    @property
+    def rate(self):
+        return self.capacity
+
+    def admit(self, t: float, class_id: int = 0, priority: int = 0) -> bool:
+        dt = t - self.last_time
+        if not 0.0 <= dt < inf:
+            raise _time_error(t, self.last_time)
+        if not 0 <= priority < len(self.watermarks):
+            raise UnknownPriority(f"priority {priority} not configured")
+        rejected, provisional = drain(self.b, self.rate.rate_at(self.last_time), dt)
+        admitted = provisional <= self.watermarks[priority]
+        self.b = provisional if admitted else rejected
+        self.last_time = t
+        return admitted
+
+
+class ReferenceRateGapper(RateGapper):
+    """RateGapper with the admit and decide it had before the one-pass core:
+    a decay loop, then the full ``compute_bound_rates`` vector, with c(t) and
+    c(last) by fresh ``rate_at`` bisects.  ``normalize`` was a constructor
+    parameter then; the throttles now fold it into the variant."""
+
+    normalize = False
+
+    def admit(self, t: float, class_id: int = 0, priority: int = 0) -> bool:
+        last = self.last_time
+        dt = t - last
+        if not 0.0 <= dt < inf:
+            raise _time_error(t, last)
+        if not 0 <= class_id < self.num_classes:
+            raise UnknownClass(f"class {class_id} not configured")
+        if not 0 <= priority < self.num_priorities:
+            raise UnknownPriority(f"priority {priority} not configured")
+        c = self.capacity.rate_at(t)
+        watermarks = self.watermarks
+        if watermarks is None:
+            T = self.timers[priority]
+            relax = 1.0
+        else:
+            w_j = watermarks[priority]
+            T = self.timers[priority] if self.timers is not None else w_j / c
+            rejected, provisional = drain(self.b, self.capacity.rate_at(last), dt)
+            if provisional > self.w_max:
+                provisional = self.w_max
+            relax = provisional / w_j
+        decay = forgetting(dt, T)
+        impulse = 1.0 / T
+        rho = self.rho
+        a_hat = self.a_hat
+        for i in range(self.num_classes):
+            rho[i] *= decay
+            a_hat[i] *= decay
+        rho[class_id] += impulse
+        alpha_k = a_hat[class_id] + impulse
+        g = compute_bound_rates(rho, self.shares, c, self.variant, self.normalize)
+        admitted = relax * alpha_k <= g[class_id]
+        if admitted:
+            a_hat[class_id] = alpha_k
+        if watermarks is not None:
+            self.b = provisional if admitted else rejected
+        self.last_time = t
+        self._terms = alpha_k, g, c
+        return admitted
+
+    def decide(self, offer: Offer) -> DecisionRecord:
+        k = offer.class_id
+        admitted = self.admit(offer.arrival, k, offer.priority)
+        alpha_k, g, c = self._terms
+        a_hat = tuple(self.a_hat)
+        return DecisionRecord(
+            offer, _VERDICT[admitted], b=self.b,
+            u=compute_used_capacity(self.rho, self.shares, c)[0],
+            rho_hat=tuple(self.rho), alpha_hat=a_hat[:k] + (alpha_k,) + a_hat[k + 1:],
+            a_hat=a_hat, g=tuple(g))
+
+
+class ReferenceMixedGapper(MixedGapper):
+    """MixedGapper on the reference gapper core."""
+
+    normalize = False
+    admit = ReferenceRateGapper.admit
+    decide = ReferenceRateGapper.decide

@@ -62,6 +62,9 @@ class TestErlangB:
             erlang_b(-1, 1.0)
         with pytest.raises(DomainError):
             erlang_b(1, -1.0)
+        for load in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="load"):
+                erlang_b(2, load)
 
 
 class TestEstimatorBias:
@@ -102,10 +105,12 @@ class TestEstimatorBias:
         assert mean == pytest.approx(want, abs=0.01)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            estimator_bias(0.0, 1.0)
-        with pytest.raises(DomainError):
-            estimator_bias(1.0, 0.0)
+        # the last pair is finite, but 1/alpha overflows and E[min(dt, T)]
+        # comes out nan
+        for T, alpha in ((0.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (math.inf, 1.0),
+                         (1.0, math.inf), (4.1e152, 2.1e-319)):
+            with pytest.raises(DomainError):
+                estimator_bias(T, alpha)
 
 
 def overload_scenario(strategies, rate=2.0, count=2000, num_classes=1):

@@ -408,6 +408,20 @@ class TestClosedFormCommands:
     def test_erlang_domain_error(self, capsys):
         assert main(["erlang", "-1", "1.0"]) == 2
 
+    @pytest.mark.parametrize("argv, name", [
+        (["bias", "1", "inf"], "alpha"),
+        (["bias", "nan", "1"], "timer"),
+        (["bias", "inf", "1"], "timer"),
+        (["erlang", "2", "nan"], "load"),
+        (["erlang", "2", "inf"], "load"),
+    ], ids=lambda v: "-".join(v) if isinstance(v, list) else v)
+    def test_non_finite_argument(self, capsys, argv, name):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and name in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestGenStream:
     def test_writes_csv(self, tmp_path, capsys):

@@ -72,6 +72,15 @@ class TestBuildThrottle:
             StrategyConfig("d", "mixed", watermarks=(10.0,), shares=(1.0,)), sc),
             MixedGapper)
 
+    @pytest.mark.parametrize("kind", ["rate_gapper", "mixed"])
+    @pytest.mark.parametrize("variant", ["G", "GPrime"])
+    def test_normalize_selects_variant_g(self, kind, variant):
+        sc = make_scenario()
+        for normalize, want in ((False, variant), (True, "G")):
+            cfg = StrategyConfig("s", kind, watermarks=(10.0,), timers=(1.0,),
+                                 shares=(1.0,), variant=variant, normalize=normalize)
+            assert build_throttle(cfg, sc).variant == want
+
     @pytest.mark.parametrize("cfg", [
         StrategyConfig("a", "token_bucket"),
         StrategyConfig("b", "rate_model", watermarks=(10.0,)),  # kind removed

@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from gapcraft.errors import (
 )
 from gapcraft.estimator import step
 from gapcraft.throttles import (
+    VARIANTS,
     MixedGapper,
     RateGapper,
     TokenBucket,
@@ -21,8 +23,13 @@ from gapcraft.throttles import (
     probe_recovery_times,
 )
 from gapcraft.traffic import IntensityProfile, PriorityMix, StreamSpec, generate_stream
-from gapcraft.types import CapacityProfile, Decision
-from oracles import TokenBucketRateModel
+from gapcraft.types import CapacityProfile, Decision, Offer
+from oracles import (
+    ReferenceMixedGapper,
+    ReferenceRateGapper,
+    ReferenceTokenBucket,
+    TokenBucketRateModel,
+)
 
 C1 = CapacityProfile.constant(1.0)
 
@@ -463,6 +470,80 @@ def test_gapper_estimators_follow_scalar_recursion(run):
         assert gapper.rho == [step(v, dt, i == k, T) for i, v in enumerate(rho)]
         assert gapper.a_hat == [step(v, dt, admitted and i == k, T)
                                 for i, v in enumerate(a_hat)]
+
+
+@st.composite
+def reference_runs(draw):
+    """A throttle factory (new or reference class) of any kind on a stepped
+    capacity, sorted event times that hit breakpoints, repeat and jump
+    several segments, and where to clone and where to set b/last_time."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.integers(min_value=1, max_value=3))
+    raw = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=n, max_size=n))
+    shares = [x / sum(raw) for x in raw]
+    n_seg = draw(st.integers(min_value=1, max_value=50))
+    lengths = draw(st.lists(st.floats(min_value=0.01, max_value=4.0),
+                            min_size=n_seg - 1, max_size=n_seg - 1))
+    starts = list(accumulate(lengths, initial=0.0))
+    rates = draw(st.lists(st.floats(min_value=0.5, max_value=20.0),
+                          min_size=n_seg, max_size=n_seg))
+    capacity = CapacityProfile(tuple(zip(starts, rates)))
+    timers = draw(st.lists(st.floats(min_value=0.05, max_value=10.0), min_size=m, max_size=m))
+    watermarks = draw(st.lists(st.floats(min_value=1.0, max_value=30.0), min_size=m, max_size=m))
+    variant = draw(st.sampled_from(VARIANTS))
+    kind = draw(st.sampled_from(["token_bucket", "rate_gapper", "mixed", "mixed_coupled"]))
+
+    def build(reference: bool):
+        if kind == "token_bucket":
+            return (ReferenceTokenBucket if reference else TokenBucket)(watermarks, capacity)
+        if kind == "rate_gapper":
+            cls = ReferenceRateGapper if reference else RateGapper
+            return cls(n, shares, timers, capacity, variant=variant)
+        cls = ReferenceMixedGapper if reference else MixedGapper
+        return cls(n, shares, watermarks, capacity, variant=variant,
+                   timers=timers if kind == "mixed" else None)
+
+    instants = st.sampled_from(starts) | st.floats(min_value=0.0, max_value=starts[-1] + 10.0)
+    times = sorted(draw(st.lists(instants, min_size=1, max_size=80)))
+    events = [(t, draw(st.integers(min_value=0, max_value=n - 1)),
+               draw(st.integers(min_value=0, max_value=m - 1))) for t in times]
+    clone_at = draw(st.integers(min_value=0, max_value=len(events) - 1))
+    reset_at = draw(st.integers(min_value=0, max_value=len(events) - 1))
+    return build, starts, events, clone_at, reset_at, draw(instants), draw(
+        st.floats(min_value=0.0, max_value=40.0))
+
+
+def _state(throttle):
+    return (throttle.b, getattr(throttle, "rho", None), getattr(throttle, "a_hat", None),
+            throttle.last_time)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reference_runs())
+def test_hot_path_matches_reference(run):
+    # admit and decide agree with the reference throttles (tests/oracles.py)
+    # bit for bit after every event, also on a clone advanced past a
+    # breakpoint and after b and last_time are set directly
+    build, starts, events, clone_at, reset_at, reset_last, reset_b = run
+    new, ref, new_d, ref_d = build(False), build(True), build(False), build(True)
+    for i, (t, k, j) in enumerate(events):
+        if i == reset_at:
+            for throttle in (new, ref, new_d, ref_d):
+                throttle.last_time = min(reset_last, t)
+                if throttle.b is not None:
+                    throttle.b = reset_b
+        if i == clone_at:
+            c_new, c_ref = new.clone(), ref.clone()
+            t_step = next((s for s in starts if s > new.last_time), new.last_time + 1.0)
+            for u in (t_step, t_step, t_step + 0.5):
+                assert c_new.admit(u, k, j) == c_ref.admit(u, k, j)
+                assert _state(c_new) == _state(c_ref)
+        verdict = new.admit(t, k, j)
+        assert verdict == ref.admit(t, k, j)
+        record = new_d.decide(Offer(t, k, j))
+        assert record == ref_d.decide(Offer(t, k, j))
+        assert (record.verdict is Decision.ADMIT) == verdict
+        assert _state(new) == _state(ref) == _state(new_d) == _state(ref_d)
 
 
 class TestProbeRecovery:

@@ -67,6 +67,10 @@ class TestCapacityProfile:
         assert c.rate_at(19.0) == 2.0
         assert c.rate_at(20.0) == 0.5
         assert c.rate_at(1e6) == 0.5
+        assert c.segment_at(0.0) == (1.0, 0.0, 10.0)
+        assert c.segment_at(9.999) == (1.0, 0.0, 10.0)
+        assert c.segment_at(10.0) == (2.0, 10.0, 20.0)
+        assert c.segment_at(1e6) == (0.5, 20.0, math.inf)
 
     def test_ramp_endpoints(self):
         c = CapacityProfile.ramp(1.0, 2.0, 10.0, dt=0.5)
@@ -91,6 +95,8 @@ class TestCapacityProfile:
     def test_negative_query(self):
         with pytest.raises(ConfigError):
             CapacityProfile.constant(1.0).rate_at(-0.1)
+        with pytest.raises(ConfigError):
+            CapacityProfile.constant(1.0).segment_at(-0.1)
 
     @given(st.floats(min_value=0.0, max_value=1e6))
     def test_right_continuity(self, t):
