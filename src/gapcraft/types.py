@@ -64,7 +64,8 @@ class CapacityProfile:
 
     segments: tuple[tuple[float, float], ...]
     _starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _ends: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _spans: tuple[tuple[float, float, float], ...] = field(
+        init=False, repr=False, compare=False)
     breakpoints: np.ndarray = field(init=False, repr=False, compare=False)
     _rates: np.ndarray = field(init=False, repr=False, compare=False)
     _prefix: np.ndarray = field(init=False, repr=False, compare=False)
@@ -86,7 +87,8 @@ class CapacityProfile:
         starts, rates = table.T
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "_starts", tuple(t for t, _ in segs))
-        object.__setattr__(self, "_ends", self._starts[1:] + (math.inf,))
+        object.__setattr__(self, "_spans", tuple(
+            (r, t0, t1) for (t0, r), t1 in zip(segs, self._starts[1:] + (math.inf,))))
         object.__setattr__(self, "breakpoints", starts)
         object.__setattr__(self, "_rates", rates)
         # integral of c from 0 to each segment start
@@ -97,8 +99,7 @@ class CapacityProfile:
         """(rate, start, end) of the segment whose interval [start, end) holds t."""
         if t < 0.0:
             raise ConfigError(f"capacity queried at negative time {t}")
-        i = bisect_right(self._starts, t) - 1
-        return self.segments[i][1], self._starts[i], self._ends[i]
+        return self._spans[bisect_right(self._starts, t) - 1]
 
     def rate_at(self, t: float) -> float:
         """Rate of the segment whose half-open interval [start, next) holds t."""
