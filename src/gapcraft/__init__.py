@@ -29,7 +29,6 @@ from .throttles import (
     RateGapper,
     TokenBucket,
     compute_bound_rates,
-    compute_used_capacity,
     probe_recovery_times,
 )
 from .traffic import (
@@ -59,8 +58,8 @@ __all__ = [
     "ShareVector", "StrategyConfig", "StrategyResult", "StreamSpec",
     "TokenBucket", "build_throttle",
     "check_req_a", "check_req_b", "check_req_c", "compute_bound_rates",
-    "compute_used_capacity", "erlang_b", "estimator_bias", "estimator_peek",
-    "estimator_update", "generate_stream", "load_scenario",
-    "probe_recovery_times", "run_batch", "run_once", "run_stream",
+    "erlang_b", "estimator_bias", "estimator_peek", "estimator_update",
+    "generate_stream", "load_scenario", "probe_recovery_times", "run_batch",
+    "run_once", "run_stream",
     "stream_columns", "stream_from_file", "stream_to_file", "survey_recovery",
 ]

@@ -25,6 +25,8 @@ from .throttles import probe_recovery_times
 from .traffic import IntensityProfile
 from .types import CapacityProfile
 
+MAX_SERVERS = 10**7
+
 
 @dataclass
 class RequirementVerdict:
@@ -158,15 +160,20 @@ def erlang_b(servers: int, load: float) -> float:
     """Blocking probability of an M/M/W/W loss system.
 
     Computed with the stable recurrence B_0 = 1,
-    B_k = a B_{k-1} / (k + a B_{k-1}).
+    B_k = a B_{k-1} / (k + a B_{k-1}), which stops once B_k reaches 0.0
+    (it stays there).  More than MAX_SERVERS servers raise DomainError.
     """
     if servers < 0:
         raise DomainError(f"servers must be non-negative, got {servers}")
+    if servers > MAX_SERVERS:
+        raise DomainError(f"servers {servers} exceed the limit of {MAX_SERVERS}")
     if not 0.0 <= load < math.inf:
         raise DomainError(f"load must be finite and non-negative, got {load}")
     b = 1.0
     for k in range(1, servers + 1):
         b = load * b / (k + load * b)
+        if b == 0.0:
+            break
     return b
 
 

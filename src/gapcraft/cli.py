@@ -2,7 +2,10 @@
 
 Commands: simulate, check, erlang, bias, gen-stream.  Exit codes: 0 success
 (all requested checks passed), 1 check failure, 2 validation error, 3
-runtime error.
+runtime error.  ``simulate`` and ``check`` decide each replication once,
+through ``harness.run_replications`` (so both honour GAPCRAFT_THREADS);
+``simulate`` writes its report and replication 0's trace and rates CSVs
+from that one list.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .harness import (
     export_report,
     export_trace_csv,
     export_windowed_rates_csv,
-    run_batch,
-    run_once,
+    run_replications,
+    summarize,
 )
 from .scenario_io import ScenarioFile, load_scenario
 from .traffic import generate_stream, stream_to_file
@@ -52,21 +55,20 @@ def _apply_overrides(sf: ScenarioFile, args) -> ScenarioFile:
 
 def cmd_simulate(args) -> int:
     sf = _apply_overrides(load_scenario(args.scenario), args)
-    scenario = sf.scenario
-    report = run_batch(scenario)
+    trace_path = args.trace_out or sf.output.get("trace")
+    rates_path = sf.output.get("rates")
+    scenario = dataclasses.replace(sf.scenario, trace=bool(trace_path))
+    runs = run_replications(scenario)
+    report = summarize(runs)
     report_path = args.report or sf.output.get("report")
     if report_path:
         export_report(report, report_path)
     else:
         print(report.to_json())
-    trace_path = args.trace_out or sf.output.get("trace")
-    rates_path = sf.output.get("rates")
-    if trace_path or rates_path:
-        single = run_once(dataclasses.replace(scenario, trace=bool(trace_path)), 0)
-        if trace_path:
-            export_trace_csv(single, trace_path)
-        if rates_path:
-            export_windowed_rates_csv(single, rates_path, scenario.window)
+    if trace_path:
+        export_trace_csv(runs[0], trace_path)
+    if rates_path:
+        export_windowed_rates_csv(runs[0], rates_path, scenario.window)
     return EXIT_OK
 
 
@@ -78,9 +80,7 @@ def cmd_check(args) -> int:
     spec = scenario.stream_spec
     verdicts = []
 
-    runs = None
-    if "A" in sf.requirements or "C" in sf.requirements:
-        runs = [run_once(scenario, r) for r in range(scenario.replications)]
+    runs = run_replications(scenario) if {"A", "C"} & sf.requirements.keys() else None
 
     def wanted(req_cfg, name):
         names = req_cfg.get("strategies")

@@ -2,8 +2,10 @@
 
 Every strategy in a scenario consumes the identical offer stream for a given
 replication; replication r always uses RNG substream r, so batches are
-deterministic and schedule-independent.  Set GAPCRAFT_THREADS (or pass
-``workers``) to fan replications out over processes.
+deterministic and schedule-independent.  ``run_replications`` is the one
+replication loop: ``run_batch`` summarizes its list, and the CLI's
+``simulate`` and ``check`` use the list itself.  Set GAPCRAFT_THREADS (or
+pass ``workers``) to fan replications out over processes.
 
 A replication is columnar from stream to result: ``run_once`` takes the
 stream as arrays from ``traffic.stream_columns``, calls each throttle's
@@ -20,7 +22,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -278,16 +281,25 @@ def _resolve_workers(workers: int | None) -> int:
     return 1
 
 
-def run_batch(scenario: Scenario, workers: int | None = None) -> BatchReport:
-    """Run all replications and aggregate; deterministic given the scenario."""
+def run_replications(scenario: Scenario, workers: int | None = None) -> list[RunResult]:
+    """Every replication of the scenario, in order, serially or on a process
+    pool of ``workers`` (default GAPCRAFT_THREADS, else 1).
+
+    Replication 0 runs as the scenario says; the others run untraced, so a
+    traced batch records replication 0 only.
+    """
     n = scenario.replications
+    scenarios = chain((scenario,), repeat(replace(scenario, trace=False)))
     n_workers = _resolve_workers(workers)
     if n_workers > 1 and n > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run_once, [scenario] * n, range(n)))
-    else:
-        results = [run_once(scenario, r) for r in range(n)]
-    return summarize(results)
+            return list(pool.map(run_once, scenarios, range(n)))
+    return list(map(run_once, scenarios, range(n)))
+
+
+def run_batch(scenario: Scenario, workers: int | None = None) -> BatchReport:
+    """Run all replications and aggregate; deterministic given the scenario."""
+    return summarize(run_replications(scenario, workers))
 
 
 def summarize(results: list[RunResult]) -> BatchReport:
@@ -321,31 +333,24 @@ def summarize(results: list[RunResult]) -> BatchReport:
 def export_trace_csv(result: RunResult, path) -> None:
     """Write per-event traces of all strategies to one CSV.
 
-    Columns inapplicable to a strategy stay empty.
+    Columns inapplicable to a strategy stay empty.  The strategies of a run
+    share its stream, and with it the class count.
     """
     num_classes = max(r.num_classes for r in result.strategies.values())
     cols = (["idx", "t", "class", "priority", "strategy", "decision", "b", "u"]
             + [f"rho_hat_{i}" for i in range(num_classes)]
             + [f"a_hat_{i}" for i in range(num_classes)]
             + [f"g_{i}" for i in range(num_classes)])
+    blank = (None,) * num_classes
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
         for name, res in result.strategies.items():
-            if res.trace is None:
-                continue
-            for idx, rec in enumerate(res.trace):
-                row = [idx, repr(rec.offer.arrival), rec.offer.class_id,
-                       rec.offer.priority, name, rec.verdict.value,
-                       _fmt(rec.b), _fmt(rec.u)]
-                for values in (rec.rho_hat, rec.a_hat, rec.g):
-                    cells = [repr(v) for v in values or ()]
-                    row += cells + [""] * (num_classes - len(cells))
-                writer.writerow(row)
-
-
-def _fmt(x) -> str:
-    return "" if x is None else repr(x)
+            writer.writerows(
+                (idx, rec.offer.arrival, rec.offer.class_id, rec.offer.priority, name,
+                 rec.verdict.value, rec.b, rec.u, *(rec.rho_hat or blank),
+                 *(rec.a_hat or blank), *(rec.g or blank))
+                for idx, rec in enumerate(res.trace or ()))
 
 
 def export_report(report: BatchReport, path) -> None:
@@ -359,12 +364,11 @@ def export_windowed_rates_csv(result: RunResult, path, window: float) -> None:
     strategies of a run share its stream, so they share one window grid."""
     header, columns = ["t"], []
     for name, res in result.strategies.items():
-        _, agg, per_class = res.windowed_rates(window)
+        starts, agg, per_class = res.windowed_rates(window)
         header += [f"{name}_aggregate"] + [f"{name}_class_{k}"
                                            for k in range(res.num_classes)]
         columns += [agg, *per_class]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(len(columns[0])):
-            writer.writerow([repr(i * window)] + [repr(col[i]) for col in columns])
+        writer.writerows(zip(starts, *columns))

@@ -15,10 +15,10 @@ All throttles expose the same stateful surface: ``decide(offer)`` returns a
 DecisionRecord and commits the state change; ``admit(t, class_id, priority)``
 is the record-free fast path; ``clone()`` copies the state for what-if
 probing.  The gappers' ``admit`` makes one pass over the classes and computes
-the bound rate g_k of the offered class only; ``decide`` adds the full g
-vector and u for the record.  Every throttle reads the capacity through a
-cursor, the segment it last used, and looks a segment up again only when a
-time falls outside it.
+the bound rate g_k of the offered class only; ``decide`` takes u from that
+pass's sums and adds the full g vector for the record.  Every throttle
+reads the capacity through a cursor, the segment it last used, and looks a
+segment up again only when a time falls outside it.
 
 A DecisionRecord holds the ``offer``, the ``verdict`` and the state the
 decision left behind: the bucket fill ``b``, the used capacity ``u``, and per
@@ -78,24 +78,6 @@ def drain(b: float, r: float, dt: float) -> tuple[float, float]:
     provisional = drained + 1.0
     return (drained if drained > 0.0 else 0.0,
             1.0 if provisional < 1.0 else provisional)
-
-
-def compute_used_capacity(rho_hats, shares, c: float):
-    """Capacity consumed by classes up to their agreed shares.
-
-    Returns (u, u1, u2): u1 sums the offered-rate estimates of classes at or
-    under their share, u2 sums the share allotments of over-share classes,
-    u = u1 + u2.
-    """
-    u1 = 0.0
-    u2 = 0.0
-    for rho_i, s_i in zip(rho_hats, shares):
-        sc = s_i * c
-        if rho_i <= sc:
-            u1 += rho_i
-        else:
-            u2 += sc
-    return u1 + u2, u1, u2
 
 
 def compute_bound_rates(rho_hats, shares, c: float, variant: str = "G",
@@ -221,7 +203,8 @@ class RateGapper(_CapacityCursor):
     sums the terms of ``compute_bound_rates`` in that function's order, then
     computes g_k of the offered class alone, equal to
     ``compute_bound_rates(...)[k]`` bit for bit.  The variant is fixed at
-    construction.
+    construction.  ``decide`` reports the used capacity u = u1 + u2 of
+    those sums (under-share estimates plus over-share allotments s_i*c).
     """
 
     kind = "rate_gapper"
@@ -251,8 +234,8 @@ class RateGapper(_CapacityCursor):
         self.rho = [0.0] * self.num_classes
         self.a_hat = [0.0] * self.num_classes
         self.last_time = 0.0
-        # alpha_hat_k and c of the last admit, for decide() to report;
-        # admit() leaves them here so it stays a single call.
+        # alpha_hat_k, c, u1 and u2 of the last admit, for decide() to
+        # report; admit() leaves them here so it stays a single call.
         self._terms = None
 
     def clone(self) -> "RateGapper":
@@ -320,17 +303,16 @@ class RateGapper(_CapacityCursor):
         if watermarks is not None:
             self.b = provisional if admitted else rejected
         self.last_time = t
-        self._terms = alpha_k, c
+        self._terms = alpha_k, c, u1, u2
         return admitted
 
     def decide(self, offer: Offer) -> DecisionRecord:
         k = offer.class_id
         admitted = self.admit(offer.arrival, k, offer.priority)
-        alpha_k, c = self._terms
+        alpha_k, c, u1, u2 = self._terms
         a_hat = tuple(self.a_hat)
         return DecisionRecord(
-            offer, _VERDICT[admitted], b=self.b,
-            u=compute_used_capacity(self.rho, self.shares, c)[0],
+            offer, _VERDICT[admitted], b=self.b, u=u1 + u2,
             rho_hat=tuple(self.rho), alpha_hat=a_hat[:k] + (alpha_k,) + a_hat[k + 1:],
             a_hat=a_hat, g=tuple(compute_bound_rates(self.rho, self.shares, c,
                                                      self.variant)))

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     AllZeroIntensity,
     ConfigError,
+    DomainError,
     InvalidMix,
     NonMonotoneTimestamps,
     ParseError,
@@ -126,6 +127,8 @@ class StreamSpec:
 
 
 def _rng_for(seed: int, replication: int) -> np.random.Generator:
+    if not 0 <= replication < 2**64:
+        raise DomainError(f"replication must be in [0, 2**64), got {replication}")
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), replication]))
 
 
@@ -235,8 +238,7 @@ def stream_to_file(offers, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "class", "priority"])
-        for o in offers:
-            writer.writerow([repr(o.arrival), o.class_id, o.priority])
+        writer.writerows((o.arrival, o.class_id, o.priority) for o in offers)
 
 
 def stream_from_file(path) -> list[Offer]:

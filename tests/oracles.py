@@ -12,7 +12,6 @@ from gapcraft.throttles import (
     TokenBucket,
     _time_error,
     compute_bound_rates,
-    compute_used_capacity,
     drain,
 )
 from gapcraft.types import Offer
@@ -58,6 +57,25 @@ class TokenBucketRateModel:
         self.a_tilde = provisional if admitted else decayed
         self.last_time = t
         return admitted
+
+
+def compute_used_capacity(rho_hats, shares, c: float):
+    """Capacity consumed by classes up to their agreed shares.
+
+    Returns (u, u1, u2): u1 sums the offered-rate estimates of classes at or
+    under their share, u2 sums the share allotments of over-share classes,
+    u = u1 + u2.  ``RateGapper.decide`` reports the u of its own ``admit``
+    sums, which must equal this one bit for bit.
+    """
+    u1 = 0.0
+    u2 = 0.0
+    for rho_i, s_i in zip(rho_hats, shares):
+        sc = s_i * c
+        if rho_i <= sc:
+            u1 += rho_i
+        else:
+            u2 += sc
+    return u1 + u2, u1, u2
 
 
 def mean_capacity(capacity, t0: float, t1: float) -> float:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from gapcraft.analysis import (
+    MAX_SERVERS,
     _protected_windows,
     check_req_a,
     check_req_b,
@@ -56,6 +57,20 @@ class TestErlangB:
     def test_monotone_in_load(self):
         vals = [erlang_b(10, a) for a in np.linspace(0.1, 30.0, 50)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    @given(st.integers(0, 3000), st.floats(0.0, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_early_stop_is_bit_identical(self, servers, load):
+        # the recurrence stops once b reaches 0.0, where it would stay
+        b = 1.0
+        for k in range(1, servers + 1):
+            b = load * b / (k + load * b)
+        assert erlang_b(servers, load) == b
+
+    def test_server_bound(self):
+        assert erlang_b(MAX_SERVERS, 1.0) == 0.0
+        with pytest.raises(DomainError, match="servers"):
+            erlang_b(MAX_SERVERS + 1, 1.0)
 
     def test_negative_inputs(self):
         with pytest.raises(DomainError):

@@ -336,6 +336,27 @@ class TestSimulate:
         assert main(["simulate", path, "--trace-out", str(trace)]) == 0
         assert trace.read_text().startswith("idx,t,class,priority,strategy,decision")
 
+    def test_each_replication_decided_once(self, tmp_path, capsys, monkeypatch):
+        # The trace and rates CSVs come from the batch's own replication 0.
+        # run_once draws one stream per call, so the draws count its calls.
+        from gapcraft import harness
+
+        drawn = []
+        draw = harness.stream_columns
+        monkeypatch.setattr(harness, "stream_columns",
+                            lambda spec, r: drawn.append(r) or draw(spec, r))
+        doc = minimal_doc(replications=3, output={"rates": str(tmp_path / "rates.csv")})
+        traced = tmp_path / "traced.json"
+        assert main(["simulate", write_doc(tmp_path, doc), "--report", str(traced),
+                     "--trace-out", str(tmp_path / "trace.csv")]) == 0
+        assert drawn == [0, 1, 2]
+        untraced = tmp_path / "untraced.json"
+        plain = write_doc(tmp_path, minimal_doc(replications=3), "plain.json")
+        assert main(["simulate", plain, "--report", str(untraced)]) == 0
+        assert traced.read_bytes() == untraced.read_bytes()
+        assert len((tmp_path / "trace.csv").read_text().splitlines()) == 1 + 2 * 300
+        assert (tmp_path / "rates.csv").read_text().startswith("t,tb_aggregate,tb_class_0")
+
 
 class TestCheck:
     def test_fairness_scenario_passes(self, capsys):
@@ -385,6 +406,25 @@ class TestCheck:
         assert rc == 0
         assert out["verdicts"][0]["requirement"] == "A"
 
+    def test_threads_give_the_serial_verdicts(self, capsys, monkeypatch):
+        from gapcraft import harness
+
+        pools = []
+
+        class CountedPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        argv = ["check", str(SCENARIOS / "shares_20_80.json"), "--replications", "4"]
+        main(argv)
+        serial = capsys.readouterr().out
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setenv("GAPCRAFT_THREADS", "2")
+        main(argv)
+        assert pools == [{"max_workers": 2}]
+        assert capsys.readouterr().out == serial
+
     def test_verdicts_written_to_file(self, tmp_path, capsys):
         doc = minimal_doc(requirements={
             "A": {"tolerance": 0.3, "strategies": ["rg"]}},
@@ -407,6 +447,13 @@ class TestClosedFormCommands:
 
     def test_erlang_domain_error(self, capsys):
         assert main(["erlang", "-1", "1.0"]) == 2
+
+    def test_erlang_server_bound(self, capsys):
+        assert main(["erlang", "3000000", "1"]) == 0
+        assert capsys.readouterr().out == "0\n"
+        assert main(["erlang", "1000000000000", "1e300"]) == 2
+        captured = capsys.readouterr()
+        assert "servers" in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv, name", [
         (["bias", "1", "inf"], "alpha"),
@@ -447,6 +494,16 @@ class TestGenStream:
         main(["gen-stream", path, "--out", str(a), "--replication", "0"])
         main(["gen-stream", path, "--out", str(b), "--replication", "1"])
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("replication", ["-1", "99999999999999999999999"])
+    def test_replication_out_of_range(self, tmp_path, capsys, replication):
+        out = tmp_path / "stream.csv"
+        assert main(["gen-stream", write_doc(tmp_path, minimal_doc()), "--out", str(out),
+                     "--replication", replication]) == 2
+        err = capsys.readouterr().err
+        assert f"replication must be in [0, 2**64), got {replication}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_needs_out_path(self, tmp_path, capsys):
         assert main(["gen-stream", write_doc(tmp_path, minimal_doc())]) == 2

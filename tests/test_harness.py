@@ -15,6 +15,7 @@ from gapcraft.harness import (
     export_windowed_rates_csv,
     run_batch,
     run_once,
+    run_replications,
     run_stream,
     summarize,
 )
@@ -187,6 +188,17 @@ class TestBatch:
         serial = run_batch(sc, workers=1).to_json()
         parallel = run_batch(sc, workers=2).to_json()
         assert serial == parallel
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_traced_batch_records_replication_zero(self, workers):
+        sc = make_scenario(replications=3, trace=True, count=50)
+        runs = run_replications(sc, workers)
+        assert [r.replication for r in runs] == [0, 1, 2]
+        assert [r.strategies["tb"].trace is not None for r in runs] == [True, False, False]
+        assert summarize(runs).to_json() == run_batch(make_scenario(
+            replications=3, count=50)).to_json()
+        # run_once itself traces whatever replication it is given
+        assert len(run_once(sc, 2).strategies["tb"].trace) == runs[2].offers
 
 
 class TestExports:

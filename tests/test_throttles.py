@@ -19,7 +19,6 @@ from gapcraft.throttles import (
     RateGapper,
     TokenBucket,
     compute_bound_rates,
-    compute_used_capacity,
     probe_recovery_times,
 )
 from gapcraft.traffic import IntensityProfile, PriorityMix, StreamSpec, generate_stream
@@ -29,6 +28,7 @@ from oracles import (
     ReferenceRateGapper,
     ReferenceTokenBucket,
     TokenBucketRateModel,
+    compute_used_capacity,
 )
 
 C1 = CapacityProfile.constant(1.0)
