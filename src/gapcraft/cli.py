@@ -174,10 +174,10 @@ def cmd_bias(args) -> int:
 
 def cmd_gen_stream(args) -> int:
     sf = _apply_overrides(load_scenario(args.scenario), args)
-    offers = generate_stream(sf.scenario.stream_spec, args.replication)
     out = args.out or sf.output.get("stream")
     if not out:
         raise ConfigError("no output path: pass --out or set output.stream")
+    offers = generate_stream(sf.scenario.stream_spec, args.replication)
     stream_to_file(offers, out)
     print(f"wrote {len(offers)} offers to {out}")
     return EXIT_OK

@@ -4,8 +4,11 @@ Every strategy in a scenario consumes the identical offer stream for a given
 replication; replication r always uses RNG substream r, so batches are
 deterministic and schedule-independent.  ``run_replications`` is the one
 replication loop: ``run_batch`` summarizes its list, and the CLI's
-``simulate`` and ``check`` use the list itself.  Set GAPCRAFT_THREADS (or
-pass ``workers``) to fan replications out over processes.
+``simulate`` and ``check`` use the list itself.  Replication 0 goes through
+``run_once``; from MIN_LANES untraced replications on, the rest are decided
+in lockstep by each throttle's ``admit_lanes``, one lane per replication,
+with the same results.  Set GAPCRAFT_THREADS (or pass ``workers``) to fan
+replications out over processes.
 
 A replication is columnar from stream to result: ``run_once`` takes the
 stream as arrays from ``traffic.stream_columns``, calls each throttle's
@@ -23,7 +26,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .types import CapacityProfile, Decision, Offer
 
 DEFAULT_WINDOW = 10.0
 MAX_WINDOWS = 10**6
+MIN_LANES = 32  # untraced replications from which admit_lanes beats run_once
 
 
 @dataclass(frozen=True)
@@ -281,20 +285,56 @@ def _resolve_workers(workers: int | None) -> int:
     return 1
 
 
+def _run_lanes(scenario: Scenario, replications: range) -> list[RunResult]:
+    """``run_once`` of each replication, untraced, with every strategy's
+    decisions made by its throttle's ``admit_lanes`` over all the streams."""
+    streams = [stream_columns(scenario.stream_spec, r) for r in replications]
+    num_classes = scenario.stream_spec.num_classes
+    decided = []
+    for cfg in scenario.strategies:
+        throttle = build_throttle(cfg, scenario)
+        decided.append((cfg.name, throttle.num_priorities, throttle.admit_lanes(streams)))
+    results = []
+    for i, (r, arrays) in enumerate(zip(replications, streams)):
+        arrival = arrays[0]
+        results.append(RunResult(
+            r, len(arrival), float(arrival[-1]) if len(arrival) else 0.0,
+            {name: StrategyResult(name, num_classes, nj, *arrays, decisions[i])
+             for name, nj, decisions in decided}))
+    return results
+
+
+def _run_chunk(scenario: Scenario, start: int, stop: int) -> list[RunResult]:
+    """Replications start..stop-1: in lanes from MIN_LANES of them on, else
+    one ``run_once`` each."""
+    if stop - start >= MIN_LANES:
+        return _run_lanes(scenario, range(start, stop))
+    return [run_once(scenario, r) for r in range(start, stop)]
+
+
 def run_replications(scenario: Scenario, workers: int | None = None) -> list[RunResult]:
     """Every replication of the scenario, in order, serially or on a process
     pool of ``workers`` (default GAPCRAFT_THREADS, else 1).
 
-    Replication 0 runs as the scenario says; the others run untraced, so a
-    traced batch records replication 0 only.
+    Replication 0 runs through ``run_once`` as the scenario says; the others
+    run untraced, so a traced batch records replication 0 only.  Replications
+    1..n-1 are decided in lanes when there are at least MIN_LANES of them,
+    else one ``run_once`` each (``_run_chunk``).  The pool gets them in
+    contiguous chunks, one per worker, and each chunk follows the same rule.
+    The results are the same whichever path or pool decides them.
     """
     n = scenario.replications
-    scenarios = chain((scenario,), repeat(replace(scenario, trace=False)))
+    untraced = replace(scenario, trace=False)
     n_workers = _resolve_workers(workers)
     if n_workers > 1 and n > 1:
+        parts = min(n_workers, n - 1)
+        bounds = [1 + (n - 1) * i // parts for i in range(parts + 1)]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(run_once, scenarios, range(n)))
-    return list(map(run_once, scenarios, range(n)))
+            first = pool.submit(run_once, scenario, 0)
+            chunks = [pool.submit(_run_chunk, untraced, a, b)
+                      for a, b in zip(bounds, bounds[1:])]
+            return [first.result(), *chain.from_iterable(c.result() for c in chunks)]
+    return [run_once(scenario, 0), *_run_chunk(untraced, 1, n)]
 
 
 def run_batch(scenario: Scenario, workers: int | None = None) -> BatchReport:

@@ -14,11 +14,22 @@ whose ``param`` names it.  The throttle keeps them as plain float tuples.
 All throttles expose the same stateful surface: ``decide(offer)`` returns a
 DecisionRecord and commits the state change; ``admit(t, class_id, priority)``
 is the record-free fast path; ``clone()`` copies the state for what-if
-probing.  The gappers' ``admit`` makes one pass over the classes and computes
-the bound rate g_k of the offered class only; ``decide`` takes u from that
-pass's sums and adds the full g vector for the record.  Every throttle
-reads the capacity through a cursor, the segment it last used, and looks a
-segment up again only when a time falls outside it.
+probing.  The gappers' ``admit`` makes one pass over the classes and
+computes the bound rate g_k of the offered class only; ``decide`` takes u
+from that pass's sums and adds the full g vector for the record.  Every
+throttle reads the capacity through a cursor, the segment it last used, and
+looks a segment up again only when a time falls outside it.
+
+``admit_lanes(lanes)`` is ``admit`` for independent replications, decided
+in lockstep with one numpy lane per replication.  It takes a list of
+(arrival, class_id, priority) column triples and returns one boolean vector
+per lane, equal bit for bit to ``clone().admit`` offer by offer: each lane
+starts from the throttle's state, and the throttle is left unchanged.  What
+does not depend on the state (dt, c(t), the drain, T_j, the forgetting
+factor, 1/T_j) is computed per block of LANE_BLOCK rows; only the state
+updates run row by row, and numpy's elementwise arithmetic rounds as
+Python's floats do.  Invalid input raises admit's error before any lane is
+decided (see ``_Lanes``).
 
 A DecisionRecord holds the ``offer``, the ``verdict`` and the state the
 decision left behind: the bucket fill ``b``, the used capacity ``u``, and per
@@ -31,6 +42,8 @@ from __future__ import annotations
 
 from math import inf
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -49,6 +62,7 @@ _DENOM_EPS = 1e-12
 _VERDICT = (Decision.REJECT, Decision.ADMIT)  # indexed by the admit bool
 VARIANTS = ("G", "GPrime")
 MAX_PROBES = 10**6
+LANE_BLOCK = 64  # rows of the time axis that admit_lanes precomputes at once
 
 
 class DecisionRecord(NamedTuple):
@@ -144,6 +158,94 @@ class _CapacityCursor:
         return other
 
 
+class _Lanes:
+    """Replication lanes decided in lockstep: row i of a block holds offer i
+    of every lane.
+
+    Each lane is an (arrival, class_id, priority) column triple.  The
+    constructor checks the lanes as ``admit`` checks each offer, lane by lane
+    and offer by offer, and raises admit's error for the first offer it would
+    refuse: a time that is not finite or precedes the one before (the
+    throttle's ``last_time`` for a lane's first offer), then a class outside
+    ``num_classes`` (unless None), then a priority outside the throttle's.
+    A ``last_time`` before 0 is refused as reading c(last) refuses it.
+
+    ``blocks`` yields LANE_BLOCK rows at a time as (rows, lanes) arrays: the
+    times, the previous times, the classes, the priorities, and the rows of
+    the decision matrix for the kernel to fill.  A lane past its last offer
+    repeats its last time (dt = 0) with class and priority 0; ``split``
+    discards those rows and returns one decision vector per lane.
+    """
+
+    def __init__(self, throttle, lanes, num_classes: int | None):
+        last = throttle.last_time
+        self.last = last
+        self.columns = [self._checked(lane, last, num_classes, throttle.num_priorities)
+                        for lane in lanes]
+        self.width = len(self.columns)
+        rows = max((len(t) for t, _, _ in self.columns), default=0)
+        if rows and last < 0.0:
+            throttle.capacity.segment_at(last)
+        self.decisions = np.empty((rows, self.width), dtype=bool)
+
+    @staticmethod
+    def _checked(lane, last: float, num_classes: int | None, num_priorities: int):
+        t = np.asarray(lane[0], dtype=np.float64)
+        k = np.asarray(lane[1], dtype=np.intp)
+        j = np.asarray(lane[2], dtype=np.intp)
+        dt = np.diff(t, prepend=last)
+        bad_t = ~((dt >= 0.0) & (dt < inf))
+        bad_k = (np.zeros(len(k), dtype=bool) if num_classes is None
+                 else (k < 0) | (k >= num_classes))
+        bad_j = (j < 0) | (j >= num_priorities)
+        bad = bad_t | bad_k | bad_j
+        if bad.any():
+            i = int(bad.argmax())
+            if bad_t[i]:
+                raise _time_error(float(t[i]), float(t[i - 1]) if i else last)
+            if bad_k[i]:
+                raise UnknownClass(f"class {int(k[i])} not configured")
+            raise UnknownPriority(f"priority {int(j[i])} not configured")
+        return t, k, j
+
+    def blocks(self):
+        """(t, prev, k, j, out) per block of rows; see the class docstring."""
+        prev_row = np.full(self.width, self.last)
+        rows = len(self.decisions)
+        for start in range(0, rows, LANE_BLOCK):
+            stop = min(start + LANE_BLOCK, rows)
+            t, k, j = (self._rows(c, start, stop) for c in range(3))
+            prev = np.vstack((prev_row, t[:-1]))
+            prev_row = t[-1]
+            yield t, prev, k, j, self.decisions[start:stop]
+
+    def _rows(self, c: int, start: int, stop: int) -> np.ndarray:
+        """Rows start..stop-1 of column c of every lane, as (rows, lanes)."""
+        parts = [col[c][start:stop] for col in self.columns]
+        if any(len(part) < stop - start for part in parts):
+            fills = [(t[-1] if len(t) else self.last, 0, 0)[c] for t, _, _ in self.columns]
+            parts = [np.concatenate((part, np.full(stop - start - len(part), fill, part.dtype)))
+                     for part, fill in zip(parts, fills)]
+        # np.array of the parts, transposed (a view), is faster than np.stack
+        return np.array(parts).T
+
+    def split(self) -> list[np.ndarray]:
+        return [self.decisions[:len(t), r].copy() for r, (t, _, _) in enumerate(self.columns)]
+
+
+def _drain_lanes(b: np.ndarray, drain_dt: np.ndarray, zero: np.ndarray, one: np.ndarray):
+    """``drain`` over lanes, with the drain r*dt given: maxima replace its
+    bounds (a fill of -0.0 where drain gives 0.0 compares and sums alike)."""
+    drained = b - drain_dt
+    return np.maximum(drained, zero), np.maximum(drained + one, one)
+
+
+def _class_sum(x: np.ndarray) -> np.ndarray:
+    """Each lane's sum over the classes (axis 1), added in class order as
+    admit's loop adds them: add.accumulate is sequential, add.reduce is not."""
+    return x[:, 0] if x.shape[1] == 1 else np.add.accumulate(x, axis=1)[:, -1]
+
+
 class TokenBucket(_CapacityCursor):
     """Inverted-fill token bucket with per-priority watermarks.
 
@@ -180,6 +282,22 @@ class TokenBucket(_CapacityCursor):
         self.b = provisional if admitted else rejected
         self.last_time = t
         return admitted
+
+    def admit_lanes(self, lanes) -> list[np.ndarray]:
+        """``admit`` over independent lanes in lockstep; see the module
+        docstring.  The drain c(last)*dt is precomputed per block; only the
+        fill update runs per row."""
+        run = _Lanes(self, lanes, None)
+        watermarks = np.array(self.watermarks)
+        zero, one = np.zeros(run.width), np.ones(run.width)
+        b = np.full(run.width, self.b)
+        for t, prev, _, j, out in run.blocks():
+            drains = self.capacity.rates(prev) * (t - prev)
+            for drain_i, w_i, admitted in zip(drains, watermarks[j], out):
+                rejected, provisional = _drain_lanes(b, drain_i, zero, one)
+                np.less_equal(provisional, w_i, out=admitted)
+                b = np.where(admitted, provisional, rejected)
+        return run.split()
 
     def decide(self, offer: Offer) -> DecisionRecord:
         admitted = self.admit(offer.arrival, offer.class_id, offer.priority)
@@ -305,6 +423,67 @@ class RateGapper(_CapacityCursor):
         self.last_time = t
         self._terms = alpha_k, c, u1, u2
         return admitted
+
+    def admit_lanes(self, lanes) -> list[np.ndarray]:
+        """``admit`` over independent lanes in lockstep; see the module
+        docstring.  c(t), T_j, the forgetting factor, the impulse 1/T_j,
+        the allotments s_i*c and, with the bucket, the drain c(last)*dt are
+        precomputed per block; the estimators, their sums in admit's order
+        and the fill run per row, one (lanes, classes) array each."""
+        run = _Lanes(self, lanes, self.num_classes)
+        n, width = self.num_classes, run.width
+        shares = np.array(self.shares)
+        timers = None if self.timers is None else np.array(self.timers)
+        gprime = self._gprime
+        bucket = self.watermarks is not None
+        if bucket:
+            watermarks = np.array(self.watermarks)
+            zero, one = np.zeros(width), np.ones(width)
+            w_max = np.full(width, self.w_max)
+            b = np.full(width, self.b)
+        rho = np.tile(self.rho, (width, 1))
+        a_hat = np.tile(self.a_hat, (width, 1))
+        classes = np.arange(n)
+        lane_base = np.arange(width) * n
+        for t, prev, k, j, out in run.blocks():
+            c = self.capacity.rates(t)
+            dt = t - prev
+            T = timers[j] if timers is not None else watermarks[j] / c
+            decay = 1.0 - dt / T
+            decay = np.where(decay > 0.0, decay, 0.0)[..., None]
+            impulse = 1.0 / T
+            kicks = np.where(k[..., None] == classes, impulse[..., None], 0.0)
+            allot = shares * c[..., None]
+            allot_k = shares[k] * c
+            at_k = k + lane_base  # offered class of each lane in rho.ravel()
+            if bucket:
+                drains = self.capacity.rates(prev) * dt
+                w_j = watermarks[j]
+            for i, admitted in enumerate(out):
+                rho = rho * decay[i] + kicks[i]
+                a_dec = a_hat * decay[i]
+                allot_i = allot[i]
+                # the sums of admit's loop: a term it skips is a 0.0 here
+                total = _class_sum(rho)
+                u_eff = _class_sum(rho * (rho <= allot_i))
+                if not gprime:
+                    u_eff = u_eff + _class_sum(allot_i * (rho > allot_i))
+                denom = total - u_eff
+                frac = np.divide(c[i] - u_eff, denom, out=np.zeros(width),
+                                 where=denom > _DENOM_EPS)
+                rho_k = rho.take(at_k[i])
+                sc_k = allot_k[i]
+                g_k = np.where(rho_k <= sc_k, rho_k, sc_k + (rho_k - sc_k) * frac)
+                alpha_k = a_dec.take(at_k[i]) + impulse[i]
+                if bucket:
+                    rejected, provisional = _drain_lanes(b, drains[i], zero, one)
+                    provisional = np.minimum(provisional, w_max)
+                    np.less_equal(provisional / w_j[i] * alpha_k, g_k, out=admitted)
+                    b = np.where(admitted, provisional, rejected)
+                else:
+                    np.less_equal(alpha_k, g_k, out=admitted)
+                a_hat = a_dec + kicks[i] * admitted[:, None]
+        return run.split()
 
     def decide(self, offer: Offer) -> DecisionRecord:
         k = offer.class_id

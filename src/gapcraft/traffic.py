@@ -129,7 +129,10 @@ class StreamSpec:
 def _rng_for(seed: int, replication: int) -> np.random.Generator:
     if not 0 <= replication < 2**64:
         raise DomainError(f"replication must be in [0, 2**64), got {replication}")
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), replication]))
+    # A uint64 array: numpy would turn a list holding one entry >= 2**63
+    # into float64, and distinct keys would collide.
+    key = np.array([seed & (2**64 - 1), replication], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _segment_bounds(spec: StreamSpec) -> list[float]:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gapcraft import cli
 from gapcraft.cli import main
 from gapcraft.errors import SchemaError
 from gapcraft.scenario_io import (
@@ -505,5 +506,10 @@ class TestGenStream:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_needs_out_path(self, tmp_path, capsys):
+    def test_needs_out_path(self, tmp_path, capsys, monkeypatch):
+        # the path is checked before any stream is synthesised
+        drawn = []
+        monkeypatch.setattr(cli, "generate_stream", lambda *args: drawn.append(args))
         assert main(["gen-stream", write_doc(tmp_path, minimal_doc())]) == 2
+        assert drawn == []
+        assert "no output path" in capsys.readouterr().err

@@ -1,12 +1,15 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gapcraft import harness
 from gapcraft.errors import ConfigError, UnknownPriority
 from gapcraft.harness import (
+    MIN_LANES,
     Scenario,
     StrategyConfig,
     build_throttle,
@@ -384,3 +387,87 @@ class TestColumnarTally:
         throttle = TokenBucketRateModel(1.0, 10.0)
         with pytest.raises(UnknownPriority):
             run_stream(offers, throttle, "rm", 1)
+
+
+def lane_scenario(replications):
+    """Three strategies, two classes and priorities, a stepped capacity and a
+    duration stop, so the replications' streams have ragged lengths."""
+    spec = StreamSpec((IntensityProfile(((0.0, 1.0), (30.0, 4.0))),
+                       IntensityProfile.constant(1.5)),
+                      PriorityMix((0.3, 0.7)), seed=11, duration=40.0)
+    strategies = (
+        StrategyConfig("tb", "token_bucket", watermarks=(6.0, 3.0)),
+        StrategyConfig("rg", "rate_gapper", timers=(2.0, 1.0), shares=(0.4, 0.6),
+                       variant="GPrime"),
+        StrategyConfig("mx", "mixed", watermarks=(6.0, 3.0), shares=(0.4, 0.6)),
+    )
+    capacity = CapacityProfile(((0.0, 3.0), (10.0, 1.5), (25.0, 4.0)))
+    return Scenario(spec, capacity, strategies, replications=replications)
+
+
+class TestReplicationLanes:
+    """Replications 1..n-1 decided by admit_lanes from MIN_LANES of them on."""
+
+    def assert_same_runs(self, runs, want):
+        assert [r.replication for r in runs] == [r.replication for r in want]
+        for got, exp in zip(runs, want):
+            assert (got.offers, got.end_time) == (exp.offers, exp.end_time)
+            assert got.strategies.keys() == exp.strategies.keys()
+            for name, res in got.strategies.items():
+                ref = exp.strategies[name]
+                assert res.decisions.dtype == bool
+                assert res.decisions.tolist() == ref.decisions.tolist()
+                assert res.arrival.tolist() == ref.arrival.tolist()
+                assert res.num_priorities == ref.num_priorities
+        assert summarize(runs).to_json() == summarize(want).to_json()
+
+    def test_serial_lanes_match_run_once(self, monkeypatch):
+        # replication 0 through run_once, the others in lanes, each stream
+        # drawn once; every decision vector and the report as run_once's
+        sc = lane_scenario(MIN_LANES + 1)
+        want = [run_once(sc, r) for r in range(sc.replications)]
+        assert len({r.offers for r in want}) > 1  # ragged lanes
+        drawn, once = [], []
+
+        def counted_columns(spec, replication=0):
+            drawn.append(replication)
+            return stream_columns(spec, replication)
+
+        def counted_run_once(scenario, replication=0):
+            once.append(replication)
+            return run_once(scenario, replication)
+
+        monkeypatch.setattr(harness, "stream_columns", counted_columns)
+        monkeypatch.setattr(harness, "run_once", counted_run_once)
+        runs = run_replications(sc, workers=1)
+        assert drawn == list(range(sc.replications))
+        assert once == [0]
+        self.assert_same_runs(runs, want)
+
+    def test_below_min_lanes_runs_once_each(self, monkeypatch):
+        sc = lane_scenario(MIN_LANES)
+        once = []
+
+        def counted_run_once(scenario, replication=0):
+            once.append(replication)
+            return run_once(scenario, replication)
+
+        monkeypatch.setattr(harness, "run_once", counted_run_once)
+        run_replications(sc, workers=1)
+        assert once == list(range(MIN_LANES))
+
+    @pytest.mark.parametrize("replications", [MIN_LANES + 1, 2 * MIN_LANES + 1])
+    def test_pooled_chunks_match_serial(self, replications):
+        # two workers split replications 1..n-1 into two chunks; at 2*MIN+1
+        # both chunks are decided in lanes, at MIN+1 neither is
+        sc = lane_scenario(replications)
+        want = [run_once(sc, r) for r in range(replications)]
+        self.assert_same_runs(run_replications(sc, workers=2), want)
+        assert run_batch(sc, workers=2).to_json() == summarize(want).to_json()
+
+    def test_traced_replication_zero_with_lanes(self):
+        sc = replace(lane_scenario(MIN_LANES + 1), trace=True)
+        runs = run_replications(sc, workers=1)
+        assert [r.strategies["tb"].trace is not None for r in runs] == [True] + [False] * MIN_LANES
+        self.assert_same_runs(runs, [run_once(sc, 0)] + [
+            run_once(replace(sc, trace=False), r) for r in range(1, sc.replications)])

@@ -1,12 +1,16 @@
 import math
 from itertools import accumulate
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gapcraft import throttles
 from gapcraft.errors import (
     ConfigError,
     DomainError,
+    GapcraftError,
     NonPositiveStep,
     TimeRegression,
     UnknownClass,
@@ -14,6 +18,7 @@ from gapcraft.errors import (
 )
 from gapcraft.estimator import step
 from gapcraft.throttles import (
+    LANE_BLOCK,
     VARIANTS,
     MixedGapper,
     RateGapper,
@@ -473,10 +478,10 @@ def test_gapper_estimators_follow_scalar_recursion(run):
 
 
 @st.composite
-def reference_runs(draw):
-    """A throttle factory (new or reference class) of any kind on a stepped
-    capacity, sorted event times that hit breakpoints, repeat and jump
-    several segments, and where to clone and where to set b/last_time."""
+def throttle_setups(draw):
+    """A throttle factory (new or reference class) of any kind and variant
+    on a capacity of 1-50 segments, with its class and priority counts and
+    the segment starts."""
     n = draw(st.integers(min_value=1, max_value=8))
     m = draw(st.integers(min_value=1, max_value=3))
     raw = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=n, max_size=n))
@@ -502,7 +507,15 @@ def reference_runs(draw):
         cls = ReferenceMixedGapper if reference else MixedGapper
         return cls(n, shares, watermarks, capacity, variant=variant,
                    timers=timers if kind == "mixed" else None)
+    return build, n, m, starts
 
+
+@st.composite
+def reference_runs(draw):
+    """A throttle factory on a stepped capacity, sorted event times that hit
+    breakpoints, repeat and jump several segments, and where to clone and
+    where to set b/last_time."""
+    build, n, m, starts = draw(throttle_setups())
     instants = st.sampled_from(starts) | st.floats(min_value=0.0, max_value=starts[-1] + 10.0)
     times = sorted(draw(st.lists(instants, min_size=1, max_size=80)))
     events = [(t, draw(st.integers(min_value=0, max_value=n - 1)),
@@ -589,3 +602,111 @@ class TestProbeRecovery:
         times = probe_recovery_times(tb, 0.0, step=0.25, horizon=60.0)
         vals = [times[j] if times[j] is not None else math.inf for j in range(3)]
         assert vals == sorted(vals)
+
+
+@st.composite
+def lane_runs(draw):
+    """A throttle of any kind and variant on a capacity of 1-50 segments, the
+    events that advance it before the lanes, and ragged lanes (length 0 and
+    1 included) whose times hit breakpoints, repeat and jump segments, each
+    starting from the advanced state; and the block size to decide them in."""
+    build, n, m, starts = draw(throttle_setups())
+    throttle = build(False)
+    # dense offers, so the bucket fills; a None gap lands on the next breakpoint
+    gaps = st.lists(st.tuples(st.none() | st.just(0.0) | st.floats(min_value=0.0, max_value=0.5),
+                              st.integers(min_value=0, max_value=n - 1),
+                              st.integers(min_value=0, max_value=m - 1)), max_size=60)
+
+    def offers(t):
+        out = []
+        for gap, k, j in draw(gaps):
+            t = next((s for s in starts if s >= t), t) if gap is None else t + gap
+            out.append((t, k, j))
+        return out
+    prefix = offers(0.0)
+    last = prefix[-1][0] if prefix else 0.0
+    lanes = [offers(last) for _ in range(draw(st.integers(min_value=0, max_value=5)))]
+    lanes += [[], [(last, 0, 0)]][:draw(st.integers(min_value=0, max_value=2))]
+    return throttle, prefix, lanes, draw(st.sampled_from([1, 3, LANE_BLOCK]))
+
+
+def _lane(offers):
+    t, k, j = zip(*offers) if offers else ((), (), ())
+    return (np.array(t, dtype=np.float64), np.array(k, dtype=np.intp),
+            np.array(j, dtype=np.intp))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lane_runs())
+def test_admit_lanes_matches_admit(run):
+    # every lane's decisions equal clone().admit offer by offer, bit for bit,
+    # in any block size; the throttle's own state is left as it was
+    throttle, prefix, lanes, block = run
+    for t, k, j in prefix:
+        throttle.admit(t, k, j)
+    before = _state(throttle)
+    with mock.patch.object(throttles, "LANE_BLOCK", block):
+        got = throttle.admit_lanes([_lane(lane) for lane in lanes])
+    assert _state(throttle) == before
+    assert len(got) == len(lanes)
+    for decisions, lane in zip(got, lanes):
+        clone = throttle.clone()
+        assert decisions.dtype == bool
+        assert decisions.tolist() == [clone.admit(t, k, j) for t, k, j in lane]
+
+
+def _admit_outcome(throttle, lane):
+    """What admitting the lane offer by offer on a clone gives: the decisions,
+    or the type and message of the error it raises."""
+    clone = throttle.clone()
+    try:
+        return [clone.admit(t, k, j) for t, k, j in lane]
+    except GapcraftError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind", ["token_bucket", "rate_gapper", "mixed"])
+@pytest.mark.parametrize("bad, error", [
+    ([(3.0, 0, 0), (2.0, 0, 0)], TimeRegression),
+    ([(1.0, 0, 0), (math.nan, 0, 0)], TimeRegression),
+    ([(math.inf, 0, 0)], TimeRegression),
+    ([(0.5, 0, 0)], TimeRegression),  # before the throttle's last_time
+    ([(2.0, 0, 0), (3.0, 0, 2)], UnknownPriority),
+    ([(2.0, 0, -1)], UnknownPriority),
+    ([(2.0, 2, 0), (3.0, 0, 0)], UnknownClass),
+    ([(2.0, -1, 0)], UnknownClass),
+    ([(2.0, 2, 5)], UnknownClass),  # the class is checked before the priority
+    ([(2.0, 0, 0), (1.5, 0, 5)], TimeRegression),  # and the time before both
+])
+def test_admit_lanes_refuses_what_admit_refuses(kind, bad, error):
+    # the first offer admit would refuse raises admit's error, with admit's
+    # message, before any lane is decided; the token bucket has no classes
+    # to refuse, so there a class error is whatever admit does instead
+    throttle = {
+        "token_bucket": lambda: TokenBucket((10.0, 5.0), C1),
+        "rate_gapper": lambda: RateGapper(2, (0.5, 0.5), (10.0, 5.0), C1),
+        "mixed": lambda: MixedGapper(2, (0.5, 0.5), (10.0, 5.0), C1),
+    }[kind]()
+    throttle.admit(1.0)
+    before = _state(throttle)
+    expected = _admit_outcome(throttle, bad)
+    if kind != "token_bucket" or error is not UnknownClass:
+        assert expected[0] is error
+    lanes = [_lane([(1.0, 0, 0), (4.0, 1, 1)]), _lane(bad), _lane([(1.0, 0, 0)])]
+    try:
+        got = throttle.admit_lanes(lanes)[1].tolist()
+    except GapcraftError as exc:
+        got = type(exc), str(exc)
+    assert got == expected
+    assert _state(throttle) == before
+
+
+@pytest.mark.parametrize("kind", ["token_bucket", "rate_gapper", "mixed"])
+def test_admit_lanes_refuses_negative_last_time(kind):
+    # a state that reads c(t) before 0 is refused as segment_at refuses it;
+    # with nothing to decide there is nothing to read
+    throttle = THROTTLES[kind]()
+    throttle.last_time = -1.0
+    with pytest.raises(ConfigError, match="negative time -1.0"):
+        throttle.admit_lanes([_lane([]), _lane([(0.0, 0, 0)])])
+    assert [d.tolist() for d in throttle.admit_lanes([_lane([])])] == [[]]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gapcraft.traffic import (
     PriorityMix,
     StreamSpec,
     generate_stream,
+    stream_columns,
     stream_from_file,
     stream_to_file,
 )
@@ -102,6 +104,18 @@ class TestGenerateStream:
 
     def test_seeds_differ(self):
         assert generate_stream(make_spec(seed=1), 0) != generate_stream(make_spec(seed=2), 0)
+
+    def test_every_seed_and_replication_its_own_stream(self):
+        # the Philox key is two uint64 words; a float64 key made every
+        # negative seed (masked to >= 2**63) one stream and warned on -1
+        keys = [(seed, 0) for seed in (0, 1, -1, -2, -1000, 2**63 - 1, 2**63 + 1,
+                                       2**63 + 2, 2**63)]
+        keys += [(0, 2**63 + 1), (0, 2**63 + 2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            times = {tuple(stream_columns(make_spec(seed=seed, duration=5.0), rep)[0])
+                     for seed, rep in keys}
+        assert len(times) == len(keys)
 
     def test_strictly_increasing(self):
         offers = generate_stream(make_spec(duration=1000.0), 0)
