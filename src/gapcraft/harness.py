@@ -6,9 +6,9 @@ deterministic and schedule-independent.  ``run_replications`` is the one
 replication loop: ``run_batch`` summarizes its list, and the CLI's
 ``simulate`` and ``check`` use the list itself.  Replication 0 goes through
 ``run_once``; from MIN_LANES untraced replications on, the rest are decided
-in lockstep by each throttle's ``admit_lanes``, one lane per replication,
-with the same results.  Set GAPCRAFT_THREADS (or pass ``workers``) to fan
-replications out over processes.
+in lockstep by one ``admit_lanes`` call over every strategy, one lane per
+(strategy, replication), with the same results.  Set GAPCRAFT_THREADS (or
+pass ``workers``) to fan replications out over processes.
 
 A replication is columnar from stream to result: ``run_once`` takes the
 stream as arrays from ``traffic.stream_columns``, calls each throttle's
@@ -31,7 +31,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigError, DomainError, UnknownClass, UnknownKind, UnknownPriority
-from .throttles import DecisionRecord, MixedGapper, RateGapper, TokenBucket
+from .throttles import DecisionRecord, MixedGapper, RateGapper, TokenBucket, admit_lanes
 from .traffic import StreamSpec, stream_columns
 from .types import CapacityProfile, Decision, Offer
 
@@ -287,20 +287,18 @@ def _resolve_workers(workers: int | None) -> int:
 
 def _run_lanes(scenario: Scenario, replications: range) -> list[RunResult]:
     """``run_once`` of each replication, untraced, with every strategy's
-    decisions made by its throttle's ``admit_lanes`` over all the streams."""
+    decisions made by one ``admit_lanes`` call over all the streams."""
     streams = [stream_columns(scenario.stream_spec, r) for r in replications]
     num_classes = scenario.stream_spec.num_classes
-    decided = []
-    for cfg in scenario.strategies:
-        throttle = build_throttle(cfg, scenario)
-        decided.append((cfg.name, throttle.num_priorities, throttle.admit_lanes(streams)))
+    throttles = [build_throttle(cfg, scenario) for cfg in scenario.strategies]
+    decided = admit_lanes(throttles, streams)
     results = []
     for i, (r, arrays) in enumerate(zip(replications, streams)):
         arrival = arrays[0]
         results.append(RunResult(
             r, len(arrival), float(arrival[-1]) if len(arrival) else 0.0,
-            {name: StrategyResult(name, num_classes, nj, *arrays, decisions[i])
-             for name, nj, decisions in decided}))
+            {cfg.name: StrategyResult(cfg.name, num_classes, th.num_priorities, *arrays, d[i])
+             for cfg, th, d in zip(scenario.strategies, throttles, decided)}))
     return results
 
 

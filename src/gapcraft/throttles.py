@@ -20,16 +20,15 @@ from that pass's sums and adds the full g vector for the record.  Every
 throttle reads the capacity through a cursor, the segment it last used, and
 looks a segment up again only when a time falls outside it.
 
-``admit_lanes(lanes)`` is ``admit`` for independent replications, decided
-in lockstep with one numpy lane per replication.  It takes a list of
-(arrival, class_id, priority) column triples and returns one boolean vector
-per lane, equal bit for bit to ``clone().admit`` offer by offer: each lane
-starts from the throttle's state, and the throttle is left unchanged.  What
+``admit_lanes(throttles, lanes)`` decides independent replications of
+several throttles in lockstep, one numpy lane per (throttle, replication),
+and returns one decision vector per pair, equal bit for bit to
+``throttle.clone().admit`` offer by offer; the throttles are left unchanged.
+One body serves every kind, as the mixed test (see ``_lane_params``).  What
 does not depend on the state (dt, c(t), the drain, T_j, the forgetting
-factor, 1/T_j) is computed per block of LANE_BLOCK rows; only the state
-updates run row by row, and numpy's elementwise arithmetic rounds as
-Python's floats do.  Invalid input raises admit's error before any lane is
-decided (see ``_Lanes``).
+factor, 1/T_j) is computed per block of rows; only the state updates run
+row by row, and numpy's elementwise arithmetic rounds as Python's floats
+do.  Invalid input raises admit's error before any lane is decided.
 
 A DecisionRecord holds the ``offer``, the ``verdict`` and the state the
 decision left behind: the bucket fill ``b``, the used capacity ``u``, and per
@@ -46,6 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DomainError,
     NonPositiveStep,
     TimeRegression,
@@ -62,7 +62,9 @@ _DENOM_EPS = 1e-12
 _VERDICT = (Decision.REJECT, Decision.ADMIT)  # indexed by the admit bool
 VARIANTS = ("G", "GPrime")
 MAX_PROBES = 10**6
-LANE_BLOCK = 64  # rows of the time axis that admit_lanes precomputes at once
+# rows x lanes that admit_lanes precomputes at once: the state-free block
+# arrays add to the peak memory, so wider lanes get fewer rows per block
+LANE_CELLS = 6400
 
 
 class DecisionRecord(NamedTuple):
@@ -159,85 +161,81 @@ class _CapacityCursor:
 
 
 class _Lanes:
-    """Replication lanes decided in lockstep: row i of a block holds offer i
-    of every lane.
+    """Lanes decided in lockstep: column s*R + r holds throttle s on lane r
+    of R, and row i of a block holds offer i of every lane.
 
-    Each lane is an (arrival, class_id, priority) column triple.  The
-    constructor checks the lanes as ``admit`` checks each offer, lane by lane
-    and offer by offer, and raises admit's error for the first offer it would
-    refuse: a time that is not finite or precedes the one before (the
-    throttle's ``last_time`` for a lane's first offer), then a class outside
-    ``num_classes`` (unless None), then a priority outside the throttle's.
-    A ``last_time`` before 0 is refused as reading c(last) refuses it.
-
-    ``blocks`` yields LANE_BLOCK rows at a time as (rows, lanes) arrays: the
-    times, the previous times, the classes, the priorities, and the rows of
-    the decision matrix for the kernel to fill.  A lane past its last offer
-    repeats its last time (dt = 0) with class and priority 0; ``split``
-    discards those rows and returns one decision vector per lane.
+    The constructor checks every (throttle, lane) pair, in that order, with
+    ``_refuse``.  ``blocks`` yields LANE_CELLS // width rows at a time (at
+    least 1) as (rows, width) arrays: the times, the previous times, the
+    classes, the priorities, and the rows of the decision matrix to fill.
+    A lane past its last offer repeats its last time (dt = 0; an empty lane
+    the latest ``last_time``) with class and priority 0; ``split`` discards
+    those rows.
     """
 
-    def __init__(self, throttle, lanes, num_classes: int | None):
-        last = throttle.last_time
-        self.last = last
-        self.columns = [self._checked(lane, last, num_classes, throttle.num_priorities)
-                        for lane in lanes]
-        self.width = len(self.columns)
-        rows = max((len(t) for t, _, _ in self.columns), default=0)
-        if rows and last < 0.0:
-            throttle.capacity.segment_at(last)
-        self.decisions = np.empty((rows, self.width), dtype=bool)
-
-    @staticmethod
-    def _checked(lane, last: float, num_classes: int | None, num_priorities: int):
-        t = np.asarray(lane[0], dtype=np.float64)
-        k = np.asarray(lane[1], dtype=np.intp)
-        j = np.asarray(lane[2], dtype=np.intp)
-        dt = np.diff(t, prepend=last)
-        bad_t = ~((dt >= 0.0) & (dt < inf))
-        bad_k = (np.zeros(len(k), dtype=bool) if num_classes is None
-                 else (k < 0) | (k >= num_classes))
-        bad_j = (j < 0) | (j >= num_priorities)
-        bad = bad_t | bad_k | bad_j
-        if bad.any():
-            i = int(bad.argmax())
-            if bad_t[i]:
-                raise _time_error(float(t[i]), float(t[i - 1]) if i else last)
-            if bad_k[i]:
-                raise UnknownClass(f"class {int(k[i])} not configured")
-            raise UnknownPriority(f"priority {int(j[i])} not configured")
-        return t, k, j
+    def __init__(self, throttles, lanes):
+        self.columns = [(np.asarray(t, dtype=np.float64), np.asarray(k, dtype=np.intp),
+                         np.asarray(j, dtype=np.intp)) for t, k, j in lanes]
+        for throttle in throttles:
+            for lane in self.columns:
+                _refuse(throttle, *lane)
+        self.copies = len(throttles)
+        self.last = np.repeat([throttle.last_time for throttle in throttles], len(lanes))
+        lengths = [len(t) for t, _, _ in self.columns]
+        self.shortest = min(lengths, default=0)
+        self.decisions = np.empty((len(self.last), max(lengths, default=0)), dtype=bool)
 
     def blocks(self):
         """(t, prev, k, j, out) per block of rows; see the class docstring."""
-        prev_row = np.full(self.width, self.last)
-        rows = len(self.decisions)
-        for start in range(0, rows, LANE_BLOCK):
-            stop = min(start + LANE_BLOCK, rows)
-            t, k, j = (self._rows(c, start, stop) for c in range(3))
+        prev_row = self.last
+        width, rows = self.decisions.shape
+        step = max(1, LANE_CELLS // max(1, width))
+        for start in range(0, rows, step):
+            stop = min(start + step, rows)
+            t, k, j = (np.tile(self._rows(c, start, stop), self.copies) for c in range(3))
             prev = np.vstack((prev_row, t[:-1]))
             prev_row = t[-1]
-            yield t, prev, k, j, self.decisions[start:stop]
+            yield t, prev, k, j, self.decisions[:, start:stop].T
 
     def _rows(self, c: int, start: int, stop: int) -> np.ndarray:
         """Rows start..stop-1 of column c of every lane, as (rows, lanes)."""
         parts = [col[c][start:stop] for col in self.columns]
-        if any(len(part) < stop - start for part in parts):
-            fills = [(t[-1] if len(t) else self.last, 0, 0)[c] for t, _, _ in self.columns]
+        if stop > self.shortest:
+            fills = [(t[-1] if len(t) else self.last.max(), 0, 0)[c] for t, _, _ in self.columns]
             parts = [np.concatenate((part, np.full(stop - start - len(part), fill, part.dtype)))
                      for part, fill in zip(parts, fills)]
         # np.array of the parts, transposed (a view), is faster than np.stack
         return np.array(parts).T
 
-    def split(self) -> list[np.ndarray]:
-        return [self.decisions[:len(t), r].copy() for r, (t, _, _) in enumerate(self.columns)]
+    def split(self) -> list[list[np.ndarray]]:
+        R = len(self.columns)
+        return [[self.decisions[s * R + r, :len(t)] for r, (t, _, _) in enumerate(self.columns)]
+                for s in range(self.copies)]
 
 
-def _drain_lanes(b: np.ndarray, drain_dt: np.ndarray, zero: np.ndarray, one: np.ndarray):
-    """``drain`` over lanes, with the drain r*dt given: maxima replace its
-    bounds (a fill of -0.0 where drain gives 0.0 compares and sums alike)."""
-    drained = b - drain_dt
-    return np.maximum(drained, zero), np.maximum(drained + one, one)
+def _refuse(throttle, t: np.ndarray, k: np.ndarray, j: np.ndarray) -> None:
+    """Raise what ``admit`` raises on the first offer of the lane it refuses:
+    a time that is not finite or precedes the one before (``last_time`` for
+    the first), then a class outside the throttle's (a token bucket has
+    none), then a priority outside its own; or, for a valid first offer, a
+    capacity read before time 0: c(last_time) with a bucket, else c(t)."""
+    last = throttle.last_time
+    num_classes = getattr(throttle, "num_classes", None)
+    dt = np.diff(t, prepend=last)
+    bad_t = ~((dt >= 0.0) & (dt < inf))
+    bad_k = (np.zeros(len(k), dtype=bool) if num_classes is None
+             else (k < 0) | (k >= num_classes))
+    bad_j = (j < 0) | (j >= throttle.num_priorities)
+    bad = bad_t | bad_k | bad_j
+    if len(t) and not bad[0]:
+        throttle.capacity.segment_at(last if throttle.b is not None else float(t[0]))
+    if bad.any():
+        i = int(bad.argmax())
+        if bad_t[i]:
+            raise _time_error(float(t[i]), float(t[i - 1]) if i else last)
+        if bad_k[i]:
+            raise UnknownClass(f"class {int(k[i])} not configured")
+        raise UnknownPriority(f"priority {int(j[i])} not configured")
 
 
 def _class_sum(x: np.ndarray) -> np.ndarray:
@@ -282,22 +280,6 @@ class TokenBucket(_CapacityCursor):
         self.b = provisional if admitted else rejected
         self.last_time = t
         return admitted
-
-    def admit_lanes(self, lanes) -> list[np.ndarray]:
-        """``admit`` over independent lanes in lockstep; see the module
-        docstring.  The drain c(last)*dt is precomputed per block; only the
-        fill update runs per row."""
-        run = _Lanes(self, lanes, None)
-        watermarks = np.array(self.watermarks)
-        zero, one = np.zeros(run.width), np.ones(run.width)
-        b = np.full(run.width, self.b)
-        for t, prev, _, j, out in run.blocks():
-            drains = self.capacity.rates(prev) * (t - prev)
-            for drain_i, w_i, admitted in zip(drains, watermarks[j], out):
-                rejected, provisional = _drain_lanes(b, drain_i, zero, one)
-                np.less_equal(provisional, w_i, out=admitted)
-                b = np.where(admitted, provisional, rejected)
-        return run.split()
 
     def decide(self, offer: Offer) -> DecisionRecord:
         admitted = self.admit(offer.arrival, offer.class_id, offer.priority)
@@ -424,67 +406,6 @@ class RateGapper(_CapacityCursor):
         self._terms = alpha_k, c, u1, u2
         return admitted
 
-    def admit_lanes(self, lanes) -> list[np.ndarray]:
-        """``admit`` over independent lanes in lockstep; see the module
-        docstring.  c(t), T_j, the forgetting factor, the impulse 1/T_j,
-        the allotments s_i*c and, with the bucket, the drain c(last)*dt are
-        precomputed per block; the estimators, their sums in admit's order
-        and the fill run per row, one (lanes, classes) array each."""
-        run = _Lanes(self, lanes, self.num_classes)
-        n, width = self.num_classes, run.width
-        shares = np.array(self.shares)
-        timers = None if self.timers is None else np.array(self.timers)
-        gprime = self._gprime
-        bucket = self.watermarks is not None
-        if bucket:
-            watermarks = np.array(self.watermarks)
-            zero, one = np.zeros(width), np.ones(width)
-            w_max = np.full(width, self.w_max)
-            b = np.full(width, self.b)
-        rho = np.tile(self.rho, (width, 1))
-        a_hat = np.tile(self.a_hat, (width, 1))
-        classes = np.arange(n)
-        lane_base = np.arange(width) * n
-        for t, prev, k, j, out in run.blocks():
-            c = self.capacity.rates(t)
-            dt = t - prev
-            T = timers[j] if timers is not None else watermarks[j] / c
-            decay = 1.0 - dt / T
-            decay = np.where(decay > 0.0, decay, 0.0)[..., None]
-            impulse = 1.0 / T
-            kicks = np.where(k[..., None] == classes, impulse[..., None], 0.0)
-            allot = shares * c[..., None]
-            allot_k = shares[k] * c
-            at_k = k + lane_base  # offered class of each lane in rho.ravel()
-            if bucket:
-                drains = self.capacity.rates(prev) * dt
-                w_j = watermarks[j]
-            for i, admitted in enumerate(out):
-                rho = rho * decay[i] + kicks[i]
-                a_dec = a_hat * decay[i]
-                allot_i = allot[i]
-                # the sums of admit's loop: a term it skips is a 0.0 here
-                total = _class_sum(rho)
-                u_eff = _class_sum(rho * (rho <= allot_i))
-                if not gprime:
-                    u_eff = u_eff + _class_sum(allot_i * (rho > allot_i))
-                denom = total - u_eff
-                frac = np.divide(c[i] - u_eff, denom, out=np.zeros(width),
-                                 where=denom > _DENOM_EPS)
-                rho_k = rho.take(at_k[i])
-                sc_k = allot_k[i]
-                g_k = np.where(rho_k <= sc_k, rho_k, sc_k + (rho_k - sc_k) * frac)
-                alpha_k = a_dec.take(at_k[i]) + impulse[i]
-                if bucket:
-                    rejected, provisional = _drain_lanes(b, drains[i], zero, one)
-                    provisional = np.minimum(provisional, w_max)
-                    np.less_equal(provisional / w_j[i] * alpha_k, g_k, out=admitted)
-                    b = np.where(admitted, provisional, rejected)
-                else:
-                    np.less_equal(alpha_k, g_k, out=admitted)
-                a_hat = a_dec + kicks[i] * admitted[:, None]
-        return run.split()
-
     def decide(self, offer: Offer) -> DecisionRecord:
         k = offer.class_id
         admitted = self.admit(offer.arrival, k, offer.priority)
@@ -519,6 +440,87 @@ class MixedGapper(RateGapper):
                         capacity, variant)
         self.w_max = max(self.watermarks)
         self.b = 0.0
+
+
+def _lane_params(throttle, n: int, m: int) -> tuple:
+    """A throttle as a mixed lane, padded to n classes (share and estimates
+    0.0) and m priorities (1.0): its shares, timers, watermarks, rho_hat,
+    a_hat, W_max, u2 weight, whether T_j = W_j/c(t), whether it is a token
+    bucket, and its fill b.  A rate gapper is the mixed test with W_j and
+    W_max 1: its provisional fill is clamped to 1, so its relaxation is 1.0
+    and 1.0*alpha_hat_k is exact.  GPrime weights u2 by 0.0 (u1 + 0.0 is
+    u1), G by 1.0.  A token bucket is a one-class lane with W_max = inf,
+    tested b' <= W_j; its estimates, on timers of 1.0, are never read."""
+    def pad(values, size, fill=1.0):
+        return (*values, *(fill,) * (size - len(values)))
+    if isinstance(throttle, TokenBucket):
+        return (pad((1.0,), n, 0.0), pad((), m), pad(throttle.watermarks, m),
+                pad((), n, 0.0), pad((), n, 0.0), inf, 1.0, False, True, throttle.b)
+    mixed = throttle.watermarks is not None
+    return (pad(throttle.shares, n, 0.0), pad(throttle.timers or (), m),
+            pad(throttle.watermarks or (), m), pad(throttle.rho, n, 0.0),
+            pad(throttle.a_hat, n, 0.0), throttle.w_max if mixed else 1.0,
+            0.0 if throttle._gprime else 1.0, mixed and throttle.timers is None,
+            False, throttle.b if mixed else 0.0)
+
+
+def admit_lanes(throttles, lanes) -> list[list[np.ndarray]]:
+    """``admit`` of one or more throttles, which share one capacity profile,
+    over independent lanes in lockstep: one decision vector per (throttle,
+    lane); see the module docstring.  Per row run the estimators, their sums
+    in admit's order and the fill, one (lanes, classes) array each."""
+    capacity = throttles[0].capacity
+    if any(throttle.capacity != capacity for throttle in throttles):
+        raise ConfigError("throttles decided in lanes must share one capacity profile")
+    run = _Lanes(throttles, lanes)
+    n = max(getattr(throttle, "num_classes", 1) for throttle in throttles)
+    m = max(throttle.num_priorities for throttle in throttles)
+    (shares, timers, watermarks, rho, a_hat, w_max, u2_weight, coupled, bucket, b) = (
+        np.repeat(np.array(x), len(run.columns), axis=0)
+        for x in zip(*(_lane_params(throttle, n, m) for throttle in throttles)))
+    width = len(run.last)
+    classes = np.arange(n)
+    class_base = np.arange(width) * n  # lane offsets in rho.ravel() and shares.ravel()
+    priority_base = np.arange(width) * m
+    for t, prev, k, j, out in run.blocks():
+        c = capacity.rates(t)
+        dt = t - prev
+        k = np.where(bucket, 0, k)  # admit ignores a bucket's class
+        at_k = k + class_base
+        at_j = j + priority_base
+        w_j = watermarks.take(at_j)
+        T = np.where(coupled, w_j / c, timers.take(at_j))
+        decay = 1.0 - dt / T
+        decay = np.where(decay > 0.0, decay, 0.0)[..., None]
+        impulse = 1.0 / T
+        kicks = np.where(k[..., None] == classes, impulse[..., None], 0.0)
+        allot = shares * c[..., None]
+        allot_k = shares.take(at_k) * c
+        drains = capacity.rates(prev) * dt
+        for i, admitted in enumerate(out):
+            rho = rho * decay[i] + kicks[i]
+            a_dec = a_hat * decay[i]
+            allot_i = allot[i]
+            # the sums of admit's loop: a term it skips is a 0.0 here
+            total = _class_sum(rho)
+            u_eff = (_class_sum(rho * (rho <= allot_i))
+                     + _class_sum(allot_i * (rho > allot_i)) * u2_weight)
+            denom = total - u_eff
+            frac = np.divide(c[i] - u_eff, denom, out=np.zeros(width),
+                             where=denom > _DENOM_EPS)
+            rho_k = rho.take(at_k[i])
+            sc_k = allot_k[i]
+            g_k = np.where(rho_k <= sc_k, rho_k, sc_k + (rho_k - sc_k) * frac)
+            alpha_k = a_dec.take(at_k[i]) + impulse[i]
+            # drain() with maxima: a fill of -0.0 where drain gives 0.0 acts alike
+            drained = b - drains[i]
+            rejected = np.maximum(drained, 0.0)
+            provisional = np.minimum(np.maximum(drained + 1.0, 1.0), w_max)
+            np.less_equal(provisional / w_j[i] * alpha_k, g_k, out=admitted)
+            np.less_equal(provisional, w_j[i], out=admitted, where=bucket)  # a bucket's test
+            b = np.where(admitted, provisional, rejected)
+            a_hat = a_dec + kicks[i] * admitted[:, None]
+    return run.split()
 
 
 def probe_recovery_times(throttle, t0: float, step: float, horizon: float,

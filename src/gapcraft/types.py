@@ -120,25 +120,6 @@ class CapacityProfile:
     def constant(cls, rate: float) -> "CapacityProfile":
         return cls(((0.0, rate),))
 
-    @classmethod
-    def ramp(cls, start_rate: float, end_rate: float, duration: float,
-             dt: float = 0.1) -> "CapacityProfile":
-        """Approximate a linear ramp by short constant steps of length dt.
-
-        After ``duration`` the profile stays at ``end_rate``.
-        """
-        if duration <= 0.0 or dt <= 0.0:
-            raise ConfigError("ramp duration and step must be positive")
-        n = max(1, int(math.ceil(duration / dt)))
-        segs = []
-        for k in range(n):
-            t = k * dt
-            mid = min(duration, t + dt / 2.0)
-            rate = start_rate + (end_rate - start_rate) * mid / duration
-            segs.append((t, rate))
-        segs.append((n * dt, end_rate))
-        return cls(tuple(segs))
-
 
 @dataclass(frozen=True)
 class ShareVector:

@@ -18,11 +18,11 @@ from gapcraft.errors import (
 )
 from gapcraft.estimator import step
 from gapcraft.throttles import (
-    LANE_BLOCK,
     VARIANTS,
     MixedGapper,
     RateGapper,
     TokenBucket,
+    admit_lanes,
     compute_bound_rates,
     probe_recovery_times,
 )
@@ -478,21 +478,25 @@ def test_gapper_estimators_follow_scalar_recursion(run):
 
 
 @st.composite
-def throttle_setups(draw):
-    """A throttle factory (new or reference class) of any kind and variant
-    on a capacity of 1-50 segments, with its class and priority counts and
-    the segment starts."""
-    n = draw(st.integers(min_value=1, max_value=8))
-    m = draw(st.integers(min_value=1, max_value=3))
-    raw = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=n, max_size=n))
-    shares = [x / sum(raw) for x in raw]
+def stepped_capacities(draw):
+    """A capacity of 1-50 segments and its segment starts."""
     n_seg = draw(st.integers(min_value=1, max_value=50))
     lengths = draw(st.lists(st.floats(min_value=0.01, max_value=4.0),
                             min_size=n_seg - 1, max_size=n_seg - 1))
     starts = list(accumulate(lengths, initial=0.0))
     rates = draw(st.lists(st.floats(min_value=0.5, max_value=20.0),
                           min_size=n_seg, max_size=n_seg))
-    capacity = CapacityProfile(tuple(zip(starts, rates)))
+    return CapacityProfile(tuple(zip(starts, rates))), starts
+
+
+@st.composite
+def throttle_builds(draw, capacity):
+    """A throttle factory (new or reference class) of any kind and variant
+    on the capacity, with its class and priority counts."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.integers(min_value=1, max_value=3))
+    raw = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=n, max_size=n))
+    shares = [x / sum(raw) for x in raw]
     timers = draw(st.lists(st.floats(min_value=0.05, max_value=10.0), min_size=m, max_size=m))
     watermarks = draw(st.lists(st.floats(min_value=1.0, max_value=30.0), min_size=m, max_size=m))
     variant = draw(st.sampled_from(VARIANTS))
@@ -507,7 +511,15 @@ def throttle_setups(draw):
         cls = ReferenceMixedGapper if reference else MixedGapper
         return cls(n, shares, watermarks, capacity, variant=variant,
                    timers=timers if kind == "mixed" else None)
-    return build, n, m, starts
+    return build, n, m
+
+
+@st.composite
+def throttle_setups(draw):
+    """A throttle factory of any kind and variant on a capacity of 1-50
+    segments, with its class and priority counts and the segment starts."""
+    capacity, starts = draw(stepped_capacities())
+    return (*draw(throttle_builds(capacity)), starts)
 
 
 @st.composite
@@ -606,28 +618,33 @@ class TestProbeRecovery:
 
 @st.composite
 def lane_runs(draw):
-    """A throttle of any kind and variant on a capacity of 1-50 segments, the
-    events that advance it before the lanes, and ragged lanes (length 0 and
-    1 included) whose times hit breakpoints, repeat and jump segments, each
-    starting from the advanced state; and the block size to decide them in."""
-    build, n, m, starts = draw(throttle_setups())
-    throttle = build(False)
-    # dense offers, so the bucket fills; a None gap lands on the next breakpoint
-    gaps = st.lists(st.tuples(st.none() | st.just(0.0) | st.floats(min_value=0.0, max_value=0.5),
-                              st.integers(min_value=0, max_value=n - 1),
-                              st.integers(min_value=0, max_value=m - 1)), max_size=60)
+    """1-3 throttles of any kinds, variants, class and priority counts on
+    one capacity of 1-50 segments, and the events that advance each of them
+    before the lanes; ragged lanes (length 0 and 1 included) whose times hit
+    breakpoints, repeat and jump segments, in classes and priorities that
+    every throttle has, each starting from every throttle's advanced state;
+    and the rows per block to decide them in (None: the default)."""
+    capacity, starts = draw(stepped_capacities())
+    setups = draw(st.lists(throttle_builds(capacity), min_size=1, max_size=3))
 
-    def offers(t):
+    def offers(t, n, m):
+        # dense offers, so the buckets fill; a None gap lands on the next breakpoint
+        gaps = st.lists(st.tuples(
+            st.none() | st.just(0.0) | st.floats(min_value=0.0, max_value=0.5),
+            st.integers(min_value=0, max_value=n - 1),
+            st.integers(min_value=0, max_value=m - 1)), max_size=60)
         out = []
         for gap, k, j in draw(gaps):
             t = next((s for s in starts if s >= t), t) if gap is None else t + gap
             out.append((t, k, j))
         return out
-    prefix = offers(0.0)
-    last = prefix[-1][0] if prefix else 0.0
-    lanes = [offers(last) for _ in range(draw(st.integers(min_value=0, max_value=5)))]
+    prefixes = [offers(0.0, n, m) for _, n, m in setups]
+    last = max(prefix[-1][0] if prefix else 0.0 for prefix in prefixes)
+    n, m = (min(setup[i] for setup in setups) for i in (1, 2))
+    lanes = [offers(last, n, m) for _ in range(draw(st.integers(min_value=0, max_value=5)))]
     lanes += [[], [(last, 0, 0)]][:draw(st.integers(min_value=0, max_value=2))]
-    return throttle, prefix, lanes, draw(st.sampled_from([1, 3, LANE_BLOCK]))
+    return ([build(False) for build, _, _ in setups], prefixes, lanes,
+            draw(st.sampled_from([1, 3, None])))
 
 
 def _lane(offers):
@@ -639,20 +656,24 @@ def _lane(offers):
 @settings(max_examples=300, deadline=None)
 @given(lane_runs())
 def test_admit_lanes_matches_admit(run):
-    # every lane's decisions equal clone().admit offer by offer, bit for bit,
-    # in any block size; the throttle's own state is left as it was
-    throttle, prefix, lanes, block = run
-    for t, k, j in prefix:
-        throttle.admit(t, k, j)
-    before = _state(throttle)
-    with mock.patch.object(throttles, "LANE_BLOCK", block):
-        got = throttle.admit_lanes([_lane(lane) for lane in lanes])
-    assert _state(throttle) == before
-    assert len(got) == len(lanes)
-    for decisions, lane in zip(got, lanes):
-        clone = throttle.clone()
-        assert decisions.dtype == bool
-        assert decisions.tolist() == [clone.admit(t, k, j) for t, k, j in lane]
+    # every (throttle, lane) decision vector equals clone().admit offer by
+    # offer, bit for bit, in any block size; every throttle's own state is
+    # left as it was
+    lane_throttles, prefixes, lanes, block = run
+    for throttle, prefix in zip(lane_throttles, prefixes):
+        for t, k, j in prefix:
+            throttle.admit(t, k, j)
+    before = [_state(throttle) for throttle in lane_throttles]
+    cells = throttles.LANE_CELLS if block is None else block * len(lane_throttles) * len(lanes)
+    with mock.patch.object(throttles, "LANE_CELLS", cells):
+        got = admit_lanes(lane_throttles, [_lane(lane) for lane in lanes])
+    assert [_state(throttle) for throttle in lane_throttles] == before
+    assert [len(vectors) for vectors in got] == [len(lanes)] * len(lane_throttles)
+    for throttle, vectors in zip(lane_throttles, got):
+        for decisions, lane in zip(vectors, lanes):
+            clone = throttle.clone()
+            assert decisions.dtype == bool
+            assert decisions.tolist() == [clone.admit(t, k, j) for t, k, j in lane]
 
 
 def _admit_outcome(throttle, lane):
@@ -661,6 +682,15 @@ def _admit_outcome(throttle, lane):
     clone = throttle.clone()
     try:
         return [clone.admit(t, k, j) for t, k, j in lane]
+    except GapcraftError as exc:
+        return type(exc), str(exc)
+
+
+def _lane_outcome(throttle, lanes, index):
+    """What admit_lanes gives for lane ``index`` of the throttle: its
+    decisions, or the type and message of the error it raises."""
+    try:
+        return admit_lanes([throttle], [_lane(lane) for lane in lanes])[0][index].tolist()
     except GapcraftError as exc:
         return type(exc), str(exc)
 
@@ -692,21 +722,40 @@ def test_admit_lanes_refuses_what_admit_refuses(kind, bad, error):
     expected = _admit_outcome(throttle, bad)
     if kind != "token_bucket" or error is not UnknownClass:
         assert expected[0] is error
-    lanes = [_lane([(1.0, 0, 0), (4.0, 1, 1)]), _lane(bad), _lane([(1.0, 0, 0)])]
-    try:
-        got = throttle.admit_lanes(lanes)[1].tolist()
-    except GapcraftError as exc:
-        got = type(exc), str(exc)
-    assert got == expected
+    lanes = [[(1.0, 0, 0), (4.0, 1, 1)], bad, [(1.0, 0, 0)]]
+    assert _lane_outcome(throttle, lanes, 1) == expected
     assert _state(throttle) == before
 
 
 @pytest.mark.parametrize("kind", ["token_bucket", "rate_gapper", "mixed"])
 def test_admit_lanes_refuses_negative_last_time(kind):
-    # a state that reads c(t) before 0 is refused as segment_at refuses it;
-    # with nothing to decide there is nothing to read
+    # a last_time before 0 is refused as admit refuses it: by the kinds that
+    # read c(last), and by the rate gapper only at an offer before 0, where
+    # it reads c(t); an invalid first offer raises its own error first
     throttle = THROTTLES[kind]()
     throttle.last_time = -1.0
-    with pytest.raises(ConfigError, match="negative time -1.0"):
-        throttle.admit_lanes([_lane([]), _lane([(0.0, 0, 0)])])
-    assert [d.tolist() for d in throttle.admit_lanes([_lane([])])] == [[]]
+    for lane in [[(0.0, 0, 0), (1.0, 0, 0)], [(-0.5, 0, 0)], [], [(0.0, 0, 1)]]:
+        assert _lane_outcome(throttle, [[], lane], 1) == _admit_outcome(throttle, lane)
+
+
+def test_admit_lanes_raises_for_the_first_refusing_pair():
+    # (throttle, lane) pairs are checked throttle by throttle, then lane by
+    # lane: the bucket's refusal of lane 1 comes before the gapper's of lane 0
+    bucket = TokenBucket((10.0,), C1)
+    gapper = RateGapper(1, (1.0,), (10.0, 5.0), C1)
+    lanes = [_lane([(1.0, 1, 0)]), _lane([(1.0, 0, 1)])]
+    with pytest.raises(UnknownPriority, match="priority 1 not"):
+        admit_lanes([bucket, gapper], lanes)
+    with pytest.raises(UnknownClass, match="class 1 not"):
+        admit_lanes([gapper, bucket], lanes)
+
+
+def test_admit_lanes_needs_one_capacity():
+    lane = [_lane([(1.0, 0, 0)])]
+    other = TokenBucket((10.0,), CapacityProfile.constant(2.0))
+    with pytest.raises(ConfigError, match="one capacity profile"):
+        admit_lanes([TokenBucket((10.0,), C1), other], lane)
+    # equal profiles are one profile
+    equal = TokenBucket((10.0,), CapacityProfile.constant(1.0))
+    got = admit_lanes([TokenBucket((10.0,), C1), equal], lane)
+    assert [[d.tolist() for d in vectors] for vectors in got] == [[[True]], [[True]]]

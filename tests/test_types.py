@@ -72,14 +72,6 @@ class TestCapacityProfile:
         assert c.segment_at(10.0) == (2.0, 10.0, 20.0)
         assert c.segment_at(1e6) == (0.5, 20.0, math.inf)
 
-    def test_ramp_endpoints(self):
-        c = CapacityProfile.ramp(1.0, 2.0, 10.0, dt=0.5)
-        assert c.rate_at(0.0) == pytest.approx(1.0, abs=0.1)
-        assert c.rate_at(100.0) == 2.0
-        # monotone non-decreasing sample
-        samples = [c.rate_at(t / 10.0) for t in range(0, 120)]
-        assert all(b >= a for a, b in zip(samples, samples[1:]))
-
     @pytest.mark.parametrize("segments", [
         (),
         ((1.0, 1.0),),              # must start at 0
