@@ -37,7 +37,6 @@ from .traffic import (
     StreamSpec,
     generate_stream,
     stream_columns,
-    stream_from_file,
     stream_to_file,
 )
 from .types import (
@@ -61,5 +60,5 @@ __all__ = [
     "erlang_b", "estimator_bias", "estimator_peek", "estimator_update",
     "generate_stream", "load_scenario", "probe_recovery_times", "run_batch",
     "run_once", "run_stream",
-    "stream_columns", "stream_from_file", "stream_to_file", "survey_recovery",
+    "stream_columns", "stream_to_file", "survey_recovery",
 ]

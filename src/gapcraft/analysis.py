@@ -36,16 +36,15 @@ class RequirementVerdict:
 
 
 def check_req_a(result: StrategyResult, capacity: CapacityProfile,
-                window: float = 10.0, tolerance: float = 0.05,
-                steady_from: float | None = None) -> RequirementVerdict:
+                window: float = 10.0, tolerance: float = 0.05) -> RequirementVerdict:
     """Pass iff every steady-state window's admission rate is <= c(1+tol),
     with c the window's mean capacity.
 
-    The transient start of a run is excluded: windows beginning before
-    ``steady_from`` (default: half the run) are reported but not judged.
+    The transient start of a run is excluded: windows beginning before half
+    the run are reported but not judged.
     """
     starts, agg, _ = result.windowed_rates(window)
-    cut = steady_from if steady_from is not None else result.end_time / 2.0
+    cut = result.end_time / 2.0
     edges = np.arange(len(starts) + 1) * window
     limits = np.diff(capacity.integral(edges)) / window * (1.0 + tolerance)
     steady = np.array(starts) >= cut

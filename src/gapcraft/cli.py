@@ -3,9 +3,8 @@
 Commands: simulate, check, erlang, bias, gen-stream.  Exit codes: 0 success
 (all requested checks passed), 1 check failure, 2 validation error, 3
 runtime error.  ``simulate`` and ``check`` decide each replication once,
-through ``harness.run_replications`` (so both honour GAPCRAFT_THREADS);
-``simulate`` writes its report and replication 0's trace and rates CSVs
-from that one list.
+serially, through ``harness.run_replications``; ``simulate`` writes its
+report and replication 0's trace and rates CSVs from that one list.
 """
 
 from __future__ import annotations

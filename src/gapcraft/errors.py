@@ -83,12 +83,8 @@ class InvalidMix(ConfigError):
     """Priority mix probabilities are invalid."""
 
 
-class NonMonotoneTimestamps(GapcraftError):
-    """Stream timestamps are not strictly increasing."""
-
-
 class ParseError(GapcraftError):
-    """A stream or scenario file could not be parsed."""
+    """A scenario file could not be parsed."""
 
 
 class SchemaError(ConfigError):

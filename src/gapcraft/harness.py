@@ -5,10 +5,10 @@ replication; replication r always uses RNG substream r, so batches are
 deterministic and schedule-independent.  ``run_replications`` is the one
 replication loop: ``run_batch`` summarizes its list, and the CLI's
 ``simulate`` and ``check`` use the list itself.  Replication 0 goes through
-``run_once``; from MIN_LANES untraced replications on, the rest are decided
-in lockstep by one ``admit_lanes`` call over every strategy, one lane per
-(strategy, replication), with the same results.  Set GAPCRAFT_THREADS (or
-pass ``workers``) to fan replications out over processes.
+``run_once``; the rest are decided in lockstep by one ``admit_lanes`` call
+over every strategy, one lane per (strategy, replication), when that makes
+at least MIN_LANES lanes, with the same results.  The CLI runs serially; a
+library caller may pass ``workers`` to fan replications out over processes.
 
 A replication is columnar from stream to result: ``run_once`` takes the
 stream as arrays from ``traffic.stream_columns``, calls each throttle's
@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -37,7 +36,7 @@ from .types import CapacityProfile, Decision, Offer
 
 DEFAULT_WINDOW = 10.0
 MAX_WINDOWS = 10**6
-MIN_LANES = 32  # untraced replications from which admit_lanes beats run_once
+MIN_LANES = 32  # (strategy, replication) lanes from which admit_lanes beats run_once
 
 
 @dataclass(frozen=True)
@@ -99,9 +98,7 @@ class StrategyResult:
     Holds the replication's stream as columns -- ``arrival``, ``class_id``
     and ``priority`` arrays, shared by every strategy of the replication --
     and the strategy's decision vector ``decisions`` (True = admitted).  The
-    counts are computed from them at construction, as Python ints;
-    ``admit_times_by_class`` and ``reject_events`` are built from them on
-    request.
+    counts are computed from them at construction, as Python ints.
     """
 
     name: str
@@ -136,20 +133,6 @@ class StrategyResult:
     @property
     def total(self) -> int:
         return self.admitted + self.rejected
-
-    @property
-    def admit_times_by_class(self) -> list[list[float]]:
-        """Arrival times of the admitted offers, one list per class."""
-        times = self.arrival[self.decisions]
-        classes = self.class_id[self.decisions]
-        return [times[classes == k].tolist() for k in range(self.num_classes)]
-
-    @property
-    def reject_events(self) -> list[tuple[float, int, int]]:
-        """(arrival, class id, priority) of every rejected offer, in order."""
-        reject = ~self.decisions
-        return list(zip(self.arrival[reject].tolist(), self.class_id[reject].tolist(),
-                        self.priority[reject].tolist()))
 
     def reject_shares_by_priority(self) -> list[float]:
         """Fraction of all rejections per priority; NaN when none occurred."""
@@ -273,18 +256,6 @@ def _mean_std(values) -> dict:
     return {"mean": mean, "std": math.sqrt(var), "n": len(vals)}
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("GAPCRAFT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"GAPCRAFT_THREADS={env!r} is not an integer") from exc
-    return 1
-
-
 def _run_lanes(scenario: Scenario, replications: range) -> list[RunResult]:
     """``run_once`` of each replication, untraced, with every strategy's
     decisions made by one ``admit_lanes`` call over all the streams."""
@@ -303,31 +274,32 @@ def _run_lanes(scenario: Scenario, replications: range) -> list[RunResult]:
 
 
 def _run_chunk(scenario: Scenario, start: int, stop: int) -> list[RunResult]:
-    """Replications start..stop-1: in lanes from MIN_LANES of them on, else
-    one ``run_once`` each."""
-    if stop - start >= MIN_LANES:
+    """Replications start..stop-1: in lanes when they make at least MIN_LANES
+    (strategy, replication) lanes, else one ``run_once`` each."""
+    if len(scenario.strategies) * (stop - start) >= MIN_LANES:
         return _run_lanes(scenario, range(start, stop))
     return [run_once(scenario, r) for r in range(start, stop)]
 
 
 def run_replications(scenario: Scenario, workers: int | None = None) -> list[RunResult]:
-    """Every replication of the scenario, in order, serially or on a process
-    pool of ``workers`` (default GAPCRAFT_THREADS, else 1).
+    """Every replication of the scenario, in order: serially, or on a
+    process pool when ``workers`` (default 1) is more than 1.
 
     Replication 0 runs through ``run_once`` as the scenario says; the others
     run untraced, so a traced batch records replication 0 only.  Replications
-    1..n-1 are decided in lanes when there are at least MIN_LANES of them,
-    else one ``run_once`` each (``_run_chunk``).  The pool gets them in
-    contiguous chunks, one per worker, and each chunk follows the same rule.
-    The results are the same whichever path or pool decides them.
+    1..n-1 are decided in lanes when they make at least MIN_LANES (strategy,
+    replication) lanes, else one ``run_once`` each (``_run_chunk``).  The
+    pool gets replication 0 as one task and replications 1..n-1 in
+    contiguous chunks, one per worker, each by the same rule; it starts
+    ``min(workers, n)`` processes, no more than it has tasks.  The results
+    are the same whichever path or pool decides them.
     """
     n = scenario.replications
     untraced = replace(scenario, trace=False)
-    n_workers = _resolve_workers(workers)
-    if n_workers > 1 and n > 1:
-        parts = min(n_workers, n - 1)
+    if (workers or 1) > 1 and n > 1:
+        parts = min(workers, n - 1)
         bounds = [1 + (n - 1) * i // parts for i in range(parts + 1)]
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
             first = pool.submit(run_once, scenario, 0)
             chunks = [pool.submit(_run_chunk, untraced, a, b)
                       for a, b in zip(bounds, bounds[1:])]

@@ -264,39 +264,3 @@ def load_scenario(path) -> ScenarioFile:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     return parse_scenario_dict(doc)
-
-
-def scenario_to_dict(sf: ScenarioFile) -> dict:
-    """Canonical dict form; parse(serialize(parse(x))) == parse(x)."""
-    spec = sf.scenario.stream_spec
-    stop = ({"duration": spec.duration} if spec.duration is not None
-            else {"offers": spec.count})
-    strategies = []
-    for cfg in sf.scenario.strategies:
-        blk = {"name": cfg.name, "kind": cfg.kind, "variant": cfg.variant,
-               "normalize": cfg.normalize}
-        if cfg.watermarks is not None:
-            blk["watermarks"] = list(cfg.watermarks)
-        if cfg.timers is not None:
-            blk["timers"] = list(cfg.timers)
-        if cfg.shares is not None:
-            blk["shares"] = list(cfg.shares)
-        strategies.append(blk)
-    doc = {
-        "seed": sf.seed,
-        "replications": sf.scenario.replications,
-        "window_seconds": sf.scenario.window,
-        "traffic": {
-            "classes": [{"knots": [list(k) for k in p.knots]}
-                        for p in spec.profiles],
-            "priority_mix": list(spec.mix.p),
-            "stop": stop,
-        },
-        "capacity": {"segments": [list(seg) for seg in sf.scenario.capacity.segments]},
-        "strategies": strategies,
-    }
-    if sf.requirements:
-        doc["requirements"] = sf.requirements
-    if sf.output:
-        doc["output"] = sf.output
-    return doc

@@ -469,6 +469,8 @@ def admit_lanes(throttles, lanes) -> list[list[np.ndarray]]:
     over independent lanes in lockstep: one decision vector per (throttle,
     lane); see the module docstring.  Per row run the estimators, their sums
     in admit's order and the fill, one (lanes, classes) array each."""
+    if not throttles:
+        raise ConfigError("admit_lanes needs at least one throttle, got an empty list")
     capacity = throttles[0].capacity
     if any(throttle.capacity != capacity for throttle in throttles):
         raise ConfigError("throttles decided in lanes must share one capacity profile")

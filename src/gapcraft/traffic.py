@@ -24,14 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllZeroIntensity,
-    ConfigError,
-    DomainError,
-    InvalidMix,
-    NonMonotoneTimestamps,
-    ParseError,
-)
+from .errors import AllZeroIntensity, ConfigError, DomainError, InvalidMix
 from .types import Offer
 
 _CHUNK = 4096
@@ -242,29 +235,3 @@ def stream_to_file(offers, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["t", "class", "priority"])
         writer.writerows((o.arrival, o.class_id, o.priority) for o in offers)
-
-
-def stream_from_file(path) -> list[Offer]:
-    """Read a stream CSV back; rejects non-increasing timestamps."""
-    offers: list[Offer] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return []
-        if [h.strip() for h in header] != ["t", "class", "priority"]:
-            raise ParseError(f"unexpected stream header {header!r} in {path}")
-        last = -math.inf
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                t, k, j = float(row[0]), int(row[1]), int(row[2])
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad stream row {row!r}") from exc
-            if t <= last:
-                raise NonMonotoneTimestamps(
-                    f"{path}:{lineno}: timestamp {t} does not increase past {last}")
-            last = t
-            offers.append(Offer(t, k, j))
-    return offers

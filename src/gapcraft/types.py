@@ -144,9 +144,6 @@ class ShareVector:
     def __len__(self) -> int:
         return len(self.s)
 
-    def __getitem__(self, i: int) -> float:
-        return self.s[i]
-
 
 def class_shares(shares, num_classes: int) -> tuple[float, ...]:
     """``shares`` as floats, checked as a ShareVector with one per class."""

@@ -750,6 +750,11 @@ def test_admit_lanes_raises_for_the_first_refusing_pair():
         admit_lanes([gapper, bucket], lanes)
 
 
+def test_admit_lanes_refuses_an_empty_throttle_list():
+    with pytest.raises(ConfigError, match="empty list"):
+        admit_lanes([], [_lane([(1.0, 0, 0)])])
+
+
 def test_admit_lanes_needs_one_capacity():
     lane = [_lane([(1.0, 0, 0)])]
     other = TokenBucket((10.0,), CapacityProfile.constant(2.0))

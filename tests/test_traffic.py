@@ -1,25 +1,20 @@
+import csv
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from gapcraft.errors import (
-    AllZeroIntensity,
-    ConfigError,
-    InvalidMix,
-    NonMonotoneTimestamps,
-    ParseError,
-)
+from gapcraft.errors import AllZeroIntensity, ConfigError, InvalidMix
 from gapcraft.traffic import (
     IntensityProfile,
     PriorityMix,
     StreamSpec,
     generate_stream,
     stream_columns,
-    stream_from_file,
     stream_to_file,
 )
+from gapcraft.types import Offer
 
 
 def make_spec(**kwargs):
@@ -175,39 +170,8 @@ class TestStreamFiles:
                                            mix=PriorityMix((0.3, 0.7))), 0)
         path = tmp_path / "stream.csv"
         stream_to_file(offers, path)
-        back = stream_from_file(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "class", "priority"]
+        back = [Offer(float(t), int(k), int(j)) for t, k, j in rows[1:]]
         assert back == offers  # repr() timestamps are lossless
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        assert stream_from_file(path) == []
-
-    def test_header_only(self, tmp_path):
-        path = tmp_path / "header.csv"
-        path.write_text("t,class,priority\n")
-        assert stream_from_file(path) == []
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("time,klass,prio\n1.0,0,0\n")
-        with pytest.raises(ParseError):
-            stream_from_file(path)
-
-    def test_bad_row(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("t,class,priority\n1.0,zero,0\n")
-        with pytest.raises(ParseError):
-            stream_from_file(path)
-
-    def test_non_monotone_rejected(self, tmp_path):
-        path = tmp_path / "nm.csv"
-        path.write_text("t,class,priority\n2.0,0,0\n1.0,0,0\n")
-        with pytest.raises(NonMonotoneTimestamps):
-            stream_from_file(path)
-
-    def test_duplicate_timestamp_rejected(self, tmp_path):
-        path = tmp_path / "dup.csv"
-        path.write_text("t,class,priority\n1.0,0,0\n1.0,0,0\n")
-        with pytest.raises(NonMonotoneTimestamps):
-            stream_from_file(path)

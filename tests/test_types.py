@@ -134,10 +134,10 @@ class TestShareVector:
     def test_valid(self):
         s = ShareVector((0.2, 0.8))
         assert len(s) == 2
-        assert s[0] == 0.2 and s[1] == 0.8
+        assert s.s == (0.2, 0.8)
 
     def test_single_full_share(self):
-        assert ShareVector((1.0,))[0] == 1.0
+        assert ShareVector((1.0,)).s == (1.0,)
 
     def test_empty(self):
         with pytest.raises(EmptyClassSet):
