@@ -41,15 +41,13 @@ EXIT_RUNTIME = 3
 
 def _apply_overrides(sf: ScenarioFile, args) -> ScenarioFile:
     scenario = sf.scenario
-    seed = sf.seed
     if getattr(args, "seed", None) is not None:
-        seed = args.seed
         scenario = dataclasses.replace(
             scenario,
-            stream_spec=dataclasses.replace(scenario.stream_spec, seed=seed))
+            stream_spec=dataclasses.replace(scenario.stream_spec, seed=args.seed))
     if getattr(args, "replications", None) is not None:
         scenario = dataclasses.replace(scenario, replications=args.replications)
-    return dataclasses.replace(sf, scenario=scenario, seed=seed)
+    return dataclasses.replace(sf, scenario=scenario)
 
 
 def cmd_simulate(args) -> int:

@@ -7,8 +7,8 @@ replication loop: ``run_batch`` summarizes its list, and the CLI's
 ``simulate`` and ``check`` use the list itself.  Replication 0 goes through
 ``run_once``; the rest are decided in lockstep by one ``admit_lanes`` call
 over every strategy, one lane per (strategy, replication), when that makes
-at least MIN_LANES lanes, with the same results.  The CLI runs serially; a
-library caller may pass ``workers`` to fan replications out over processes.
+at least MIN_LANES lanes, with the same results.  Every batch runs serially,
+in this process.
 
 A replication is columnar from stream to result: ``run_once`` takes the
 stream as arrays from ``traffic.stream_columns``, calls each throttle's
@@ -23,9 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 import numpy as np
 
@@ -273,43 +271,29 @@ def _run_lanes(scenario: Scenario, replications: range) -> list[RunResult]:
     return results
 
 
-def _run_chunk(scenario: Scenario, start: int, stop: int) -> list[RunResult]:
-    """Replications start..stop-1: in lanes when they make at least MIN_LANES
-    (strategy, replication) lanes, else one ``run_once`` each."""
-    if len(scenario.strategies) * (stop - start) >= MIN_LANES:
-        return _run_lanes(scenario, range(start, stop))
-    return [run_once(scenario, r) for r in range(start, stop)]
-
-
-def run_replications(scenario: Scenario, workers: int | None = None) -> list[RunResult]:
-    """Every replication of the scenario, in order: serially, or on a
-    process pool when ``workers`` (default 1) is more than 1.
+def run_replications(scenario: Scenario) -> list[RunResult]:
+    """Every replication of the scenario, in order, run serially.
 
     Replication 0 runs through ``run_once`` as the scenario says; the others
     run untraced, so a traced batch records replication 0 only.  Replications
     1..n-1 are decided in lanes when they make at least MIN_LANES (strategy,
-    replication) lanes, else one ``run_once`` each (``_run_chunk``).  The
-    pool gets replication 0 as one task and replications 1..n-1 in
-    contiguous chunks, one per worker, each by the same rule; it starts
-    ``min(workers, n)`` processes, no more than it has tasks.  The results
-    are the same whichever path or pool decides them.
+    replication) lanes, else one ``run_once`` each, with the same results.
     """
-    n = scenario.replications
+    first = run_once(scenario, 0)
     untraced = replace(scenario, trace=False)
-    if (workers or 1) > 1 and n > 1:
-        parts = min(workers, n - 1)
-        bounds = [1 + (n - 1) * i // parts for i in range(parts + 1)]
-        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-            first = pool.submit(run_once, scenario, 0)
-            chunks = [pool.submit(_run_chunk, untraced, a, b)
-                      for a, b in zip(bounds, bounds[1:])]
-            return [first.result(), *chain.from_iterable(c.result() for c in chunks)]
-    return [run_once(scenario, 0), *_run_chunk(untraced, 1, n)]
+    rest = range(1, scenario.replications)
+    if len(scenario.strategies) * len(rest) >= MIN_LANES:
+        return [first, *_run_lanes(untraced, rest)]
+    return [first, *(run_once(untraced, r) for r in rest)]
 
 
 def run_batch(scenario: Scenario, workers: int | None = None) -> BatchReport:
-    """Run all replications and aggregate; deterministic given the scenario."""
-    return summarize(run_replications(scenario, workers))
+    """Run all replications and aggregate; deterministic given the scenario.
+
+    ``workers`` is ignored: batches run serially.  It is kept only for the
+    benchmark's fan-out row, and goes when that row goes.
+    """
+    return summarize(run_replications(scenario))
 
 
 def summarize(results: list[RunResult]) -> BatchReport:

@@ -37,7 +37,6 @@ class ScenarioFile:
     """A parsed scenario plus its optional requirements and output blocks."""
 
     scenario: Scenario
-    seed: int
     requirements: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
 
@@ -252,15 +251,21 @@ def parse_scenario_dict(doc: dict) -> ScenarioFile:
         stream_spec=spec, capacity=capacity, strategies=tuple(strategies),
         replications=replications, window=window)
     _check_priorities(scenario)
-    return ScenarioFile(scenario=scenario, seed=seed,
+    return ScenarioFile(scenario=scenario,
                         requirements=_requirements(doc.get("requirements", {}), scenario),
                         output={k: v for k, v in output.items() if k != "_source"})
 
 
 def load_scenario(path) -> ScenarioFile:
+    """Read and parse a scenario file.  A file that cannot be read or
+    decoded as JSON raises ParseError naming ``path``."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ParseError(f"{path}: cannot read ({exc.strerror})") from exc
+    # ValueError: bad syntax, not UTF-8, or an integer past the interpreter's
+    # digit limit; RecursionError: arrays or objects nested too deep
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     return parse_scenario_dict(doc)

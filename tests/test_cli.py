@@ -2,6 +2,9 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
@@ -22,6 +25,16 @@ SCENARIOS = resources.files("gapcraft") / "scenarios"
 
 def test_every_export_resolves():
     assert [name for name in gapcraft.__all__ if not hasattr(gapcraft, name)] == []
+
+
+def test_import_loads_no_process_pool():
+    # batches run in this process; a fresh interpreter shows what the import loads
+    code = ("import sys, gapcraft; print([m for m in ('multiprocessing', "
+            "'concurrent.futures.process') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(gapcraft.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def minimal_doc(**overrides):
@@ -218,6 +231,23 @@ class TestBadScenarioFiles:
         assert key in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("content", [
+        None,  # a directory
+        b"\xff\xfe{}",  # not UTF-8
+        b'{"seed": ' + b"9" * 5000 + b"}",  # past the interpreter's digit limit
+        b"[" * 200_000,  # nested past the recursion limit
+    ], ids=["directory", "not_utf8", "long_integer", "deep_nesting"])
+    def test_unreadable_file_exits_2_naming_the_path(self, tmp_path, capsys, content):
+        path = tmp_path / "scenario.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "Traceback" not in err
+
     def test_generated_and_bundled_files_load(self, monkeypatch):
         # the benchmark's generated scenarios must pass the same validation
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -402,14 +432,13 @@ class TestCheck:
         assert rc == 0
         assert out["verdicts"][0]["requirement"] == "A"
 
-    def test_threads_give_the_serial_verdicts(self, capsys, monkeypatch, inline_pool):
-        # check runs serially: GAPCRAFT_THREADS is not read, no pool opens
+    def test_threads_give_the_serial_verdicts(self, capsys, monkeypatch):
+        # check runs serially: GAPCRAFT_THREADS is not read
         argv = ["check", str(SCENARIOS / "shares_20_80.json"), "--replications", "4"]
         main(argv)
         serial = capsys.readouterr().out
         monkeypatch.setenv("GAPCRAFT_THREADS", "2")
         main(argv)
-        assert inline_pool == []
         assert capsys.readouterr().out == serial
 
     def test_verdicts_written_to_file(self, tmp_path, capsys):

@@ -179,24 +179,9 @@ class TestBatch:
         want = sum(r.strategies["tb"].admitted for r in runs) / 3
         assert report.strategies["tb"]["admitted"]["mean"] == pytest.approx(want)
 
-    def test_explicit_workers_match_serial(self):
-        sc = make_scenario(replications=3)
-        serial = run_batch(sc, workers=1).to_json()
-        parallel = run_batch(sc, workers=2).to_json()
-        assert serial == parallel
-
-    def test_pool_bounded_by_its_tasks(self, inline_pool):
-        # 3 replications are 3 tasks: replication 0 and two chunks
-        sc = make_scenario(replications=3)
-        assert run_batch(sc, workers=10_000).to_json() == run_batch(sc).to_json()
-        assert inline_pool == [3]
-        run_batch(sc, workers=2)
-        assert inline_pool == [3, 2]
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_traced_batch_records_replication_zero(self, workers):
+    def test_traced_batch_records_replication_zero(self):
         sc = make_scenario(replications=3, trace=True, count=50)
-        runs = run_replications(sc, workers)
+        runs = run_replications(sc)
         assert [r.replication for r in runs] == [0, 1, 2]
         assert [r.strategies["tb"].trace is not None for r in runs] == [True, False, False]
         assert summarize(runs).to_json() == run_batch(make_scenario(
@@ -446,7 +431,7 @@ class TestReplicationLanes:
 
         monkeypatch.setattr(harness, "stream_columns", counted_columns)
         monkeypatch.setattr(harness, "run_once", counted_run_once)
-        runs = run_replications(sc, workers=1)
+        runs = run_replications(sc)
         assert drawn == list(range(sc.replications))
         assert once == [0]
         self.assert_same_runs(runs, want)
@@ -460,22 +445,21 @@ class TestReplicationLanes:
             return run_once(scenario, replication)
 
         monkeypatch.setattr(harness, "run_once", counted_run_once)
-        run_replications(sc, workers=1)
+        run_replications(sc)
         assert once == list(range(LANE_REPS))
 
     @pytest.mark.parametrize("replications", [2 * LANE_REPS - 1, 2 * LANE_REPS, 33, 65])
     def test_pooled_chunks_match_serial(self, replications):
-        # two workers split replications 1..n-1 into two chunks: at
-        # 2*LANE_REPS - 1 neither chunk makes MIN_LANES lanes, at 2*LANE_REPS
-        # the second one does, and from 2*LANE_REPS + 1 on both do
+        # replications 1..n-1 as one lane batch of 2*LANE_REPS - 2,
+        # 2*LANE_REPS - 1, 32 or 64 ragged streams
         sc = lane_scenario(replications)
         want = [run_once(sc, r) for r in range(replications)]
-        self.assert_same_runs(run_replications(sc, workers=2), want)
-        assert run_batch(sc, workers=2).to_json() == summarize(want).to_json()
+        self.assert_same_runs(run_replications(sc), want)
+        assert run_batch(sc).to_json() == summarize(want).to_json()
 
     def test_traced_replication_zero_with_lanes(self):
         sc = replace(lane_scenario(LANE_REPS + 1), trace=True)
-        runs = run_replications(sc, workers=1)
+        runs = run_replications(sc)
         assert [r.strategies["tb"].trace is not None for r in runs] == [True] + [False] * LANE_REPS
         self.assert_same_runs(runs, [run_once(sc, 0)] + [
             run_once(replace(sc, trace=False), r) for r in range(1, sc.replications)])
